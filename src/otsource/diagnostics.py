@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import boundary_vector, continuity_defect
+from .assembly import boundary_vector
 from .mesh import spatial_slice_weights
 from .prox import huber
 
@@ -148,11 +148,6 @@ def time_profiles(state, mesh):
         )
         for k in range(nt + 1)
     ]
-
-
-def continuity_residual(state, bdata, mesh):
-    """Euclidean norm of the weak continuity defect over all hat functions."""
-    return float(np.linalg.norm(continuity_defect(state, bdata, mesh)))
 
 
 def mass_balance_defect(state, bdata, mesh):

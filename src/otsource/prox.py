@@ -13,14 +13,13 @@ identity
 Three source penalties are supported.  Squared L2 in space and time
 shrinks every nodal value by 1/(1+g); an L1 penalty soft-thresholds at
 g/2; the default model applies the squared L2-in-time norm of a Huber
-cost of the slice, which has no closed form and is minimized with a
-Barzilai-Borwein descent.  In every case the per-slice subproblems
-decouple because the diagonal (lumped) time pairing weights both the
-penalty and the distance term of a slice by the same factor.
+cost of the slice, which has no closed form and is minimized exactly
+by a dual bisection per slice.  In every case the per-slice
+subproblems decouple because the diagonal (lumped) time pairing weights
+both the penalty and the distance term of a slice by the same factor.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +47,6 @@ class SourceModel:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
 
-class ParaboloidPoint(NamedTuple):
-    a: float
-    b: tuple
-
-
 def huber(s, beta):
     """Linear-growth cost: s^2/(2 beta) below the threshold, |s| - beta/2 above."""
     s = np.asarray(s, dtype=float)
@@ -67,15 +61,6 @@ def huber_deriv(s, beta):
     s = np.asarray(s, dtype=float)
     out = np.clip(s / beta, -1.0, 1.0)
     return out if out.ndim else float(out)
-
-
-def proj_paraboloid(a, b, tol=1e-12):
-    """Project a single point (a, b) with b in R^2 onto K."""
-    b = np.asarray(b, dtype=float)
-    oa, obx, oby = _kernels.project_paraboloid(
-        np.array([float(a)]), np.array([b[0]]), np.array([b[1]]), tol
-    )
-    return ParaboloidPoint(float(oa[0]), (float(obx[0]), float(oby[0])))
 
 
 def prox_transport(rho, m, gamma):
@@ -118,7 +103,6 @@ def prox_source_l2huber(
     delta,
     beta,
     slice_weights,
-    init=None,
     grad_tol_factor=1e-15,
     maxit=2000,
 ):
@@ -131,10 +115,9 @@ def prox_source_l2huber(
 
     where w are the spatial slice quadrature weights; the common 1/delta
     factor of penalty and metric cancels.  z is a P1 field whose slices
-    are contiguous blocks of len(slice_weights) values.  init, of the
-    same shape, warm-starts the descent.  Raises NonConvergence when a
-    slice exceeds the iteration cap, which usually signals a step size
-    gamma too aggressive for the data scale.
+    are contiguous blocks of len(slice_weights) values.  Raises
+    NonConvergence when a slice exceeds the iteration cap, which usually
+    signals a step size gamma too aggressive for the data scale.
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
@@ -152,25 +135,11 @@ def prox_source_l2huber(
         return z.copy()
     nslices = z.size // w.size
     zs = z.reshape(nslices, w.size)
-    starts = zs if init is None else np.asarray(init, dtype=float).reshape(zs.shape)
-    out = _huber_slices_argmin(zs, w, gamma, beta, starts, grad_tol_factor, maxit)
+    out = _huber_slices_argmin(zs, w, gamma, beta, grad_tol_factor, maxit)
     return out.reshape(z.shape)
 
 
-def _huber_slice_argmin(z, w, gamma, beta, s0, grad_tol_factor, maxit):
-    """Barzilai-Borwein descent with monotone backtracking on one slice."""
-    return _huber_slices_argmin(
-        np.asarray(z, dtype=float)[None, :],
-        w,
-        gamma,
-        beta,
-        np.asarray(s0, dtype=float)[None, :],
-        grad_tol_factor,
-        maxit,
-    )[0]
-
-
-def _huber_slices_argmin(zs, w, gamma, beta, s0, grad_tol_factor, maxit):
+def _huber_slices_argmin(zs, w, gamma, beta, grad_tol_factor, maxit):
     """Exact slice minimizers through the scalar dual of the slice total.
 
     Writing T(s) = sum_i w_i r_beta(s_i), the slice objective
@@ -184,8 +153,7 @@ def _huber_slices_argmin(zs, w, gamma, beta, s0, grad_tol_factor, maxit):
     f(0) <= 0 <= f(2 gamma T(z)), so bisection on that bracket solves
     every slice in the same vector pass; the result is exact up to the
     bracket width.  grad_tol_factor sets the relative bracket-width
-    target and maxit caps the bisection steps; s0 is accepted for
-    interface compatibility (the dual solve needs no warm start).
+    target and maxit caps the bisection steps.
     """
     zs = np.asarray(zs, dtype=float)
     nslices, _ = zs.shape

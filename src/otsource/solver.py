@@ -128,14 +128,13 @@ def initialize(mesh, bdata):
 
 
 class _WarmStart:
-    """Mutable carrier for the projection potential and source slices."""
+    """Mutable carrier for the projection potential."""
 
     def __init__(self):
         self.phi = None
-        self.source = None
 
 
-def _prox_f1(state, config, mesh, warm):
+def _prox_f1(state, config, mesh):
     """Joint proximal map of transport and source terms (they separate)."""
     rho, m = prox_transport(state.rho, state.m, config.gamma)
     kind = config.source.kind
@@ -152,10 +151,7 @@ def _prox_f1(state, config, mesh, warm):
             config.delta,
             config.source.beta,
             spatial_slice_weights(mesh, 0),
-            init=warm.source if warm is not None else None,
         )
-        if warm is not None:
-            warm.source = z
     return State(rho, m, z)
 
 
@@ -166,7 +162,7 @@ def dr_step(state_aux, bdata, system, config, warm=None):
     is the projected iterate, prox_image the output of the F1 prox at
     the reflected point, residual the weighted-norm distance between
     the two.  warm, when given, carries the previous projection
-    potential and source slices across calls.
+    potential across calls.
     """
     mesh = system.mesh
     q, phi = project_continuity(
@@ -185,7 +181,7 @@ def dr_step(state_aux, bdata, system, config, warm=None):
         2.0 * q.m - state_aux.m,
         2.0 * q.z - state_aux.z,
     )
-    y = _prox_f1(reflected, config, mesh, warm)
+    y = _prox_f1(reflected, config, mesh)
     residual = weighted_norm(
         y.rho - q.rho, y.m - q.m, y.z - q.z, mesh, config.delta
     )

@@ -103,10 +103,7 @@ def runs():
     out = {}
 
     # criterion 3: small-instance oracle, all four models, long reference
-    rng = np.random.default_rng(42)
-    ga = _smooth_random(rng, 4)
-    gb = _smooth_random(rng, 4)
-    gb *= ga.sum() / gb.sum()  # equal masses so source=none is feasible
+    ga, gb = _random_bump_pair()  # equal masses: source=none is feasible
     bdata3 = BoundaryData(_tris_from_cells(ga), _tris_from_cells(gb))
     for kind in ("none", "l2l2", "l1l1", "l2huber"):
         cfg = SolverConfig(

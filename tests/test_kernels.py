@@ -1,9 +1,49 @@
 import numpy as np
 import pytest
 
-from otsource import _kernels
-from otsource._kernels import reference
+from otsource._kernels import project_paraboloid
 from otsource.exceptions import RootFindFailure
+
+
+def newton_projection(a, bx, by, tol=1e-15, maxit=200):
+    """Independent oracle: the multiplier by safeguarded Newton steps.
+
+    The cubic (a - lam) (1 + lam/2)^2 + |b|^2 / 4 has exactly one root
+    in [0, a + |b|^2/4 + 1]; Newton steps that leave the shrinking
+    bracket fall back to bisection, and the bracket endpoint with
+    nonpositive value is returned.
+    """
+    a = np.asarray(a, dtype=float)
+    bx = np.asarray(bx, dtype=float)
+    by = np.asarray(by, dtype=float)
+    q = bx * bx + by * by
+    out_a, out_bx, out_by = a.copy(), bx.copy(), by.copy()
+    idx = np.nonzero(a + 0.25 * q > 0.0)[0]
+    av = a[idx]
+    qv = q[idx]
+
+    lo = np.zeros(idx.size)
+    hi = av + 0.25 * qv + 1.0  # value there is provably negative
+    lam = 0.5 * hi
+    for _ in range(maxit):
+        s = 1.0 + 0.5 * lam
+        f = (av - lam) * s * s + 0.25 * qv
+        pos = f > 0.0
+        lo = np.where(pos, lam, lo)
+        hi = np.where(pos, hi, lam)
+        if np.all(hi - lo <= tol * (1.0 + hi)):
+            break
+        fp = s * (av - 1.0 - 1.5 * lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = lam - f / fp
+        good = np.isfinite(newton) & (newton > lo) & (newton < hi)
+        lam = np.where(good, newton, 0.5 * (lo + hi))
+
+    scale = 1.0 / (1.0 + 0.5 * hi)
+    out_a[idx] = av - hi
+    out_bx[idx] = bx[idx] * scale
+    out_by[idx] = by[idx] * scale
+    return out_a, out_bx, out_by
 
 
 def _random_points(n, seed):
@@ -14,79 +54,72 @@ def _random_points(n, seed):
     return a, bx, by
 
 
-def test_reference_feasible_and_idempotent():
+EDGE_A = np.array([0.0, 1e-300, 1e12, -1e12, 0.0, 4.0])
+EDGE_BX = np.array([0.0, 0.0, 1e6, 1.0, 1e-200, -2.0])
+EDGE_BY = np.array([0.0, 0.0, -1e6, 1.0, 0.0, 2.0])
+
+
+def _multiscale_points(seed):
+    """Random points at scales 1e-6 to 1e6, plus the edge cases.
+
+    A quarter of each scale gets a strongly negative a, which from scale
+    10 up puts the cubic in its three-real-root regime.
+    """
+    rng = np.random.default_rng(seed)
+    parts = [(EDGE_A, EDGE_BX, EDGE_BY)]
+    for scale in 10.0 ** np.arange(-6, 7):
+        a, bx, by = rng.uniform(-scale, scale, (3, 2000))
+        a[:500] = -3.0 * np.abs(a[:500])
+        parts.append((a, bx, by))
+    return (np.concatenate(p) for p in zip(*parts))
+
+
+def _slack(a, bx, by):
+    return a + 0.25 * (bx * bx + by * by)
+
+
+def test_matches_newton_oracle():
+    a, bx, by = _multiscale_points(7)
+    # the multiplier grows with the input scale, so the achievable
+    # agreement in the density output degrades proportionally
+    scale = np.maximum(1.0, np.abs(a) + 0.25 * (bx * bx + by * by))
+    for r, c in zip(newton_projection(a, bx, by), project_paraboloid(a, bx, by)):
+        assert np.max(np.abs(r - c) / scale) <= 1e-12
+
+
+def test_output_never_leaves_the_set():
+    a, bx, by = _multiscale_points(9)
+    assert np.max(_slack(*project_paraboloid(a, bx, by))) <= 0.0
+
+
+def test_kernel_feasible_and_idempotent():
     a, bx, by = _random_points(2000, 11)
-    oa, obx, oby = reference.project_paraboloid(a, bx, by)
-    slack = oa + 0.25 * (obx * obx + oby * oby)
-    assert np.max(slack) <= 1e-12
-    ra, rbx, rby = reference.project_paraboloid(oa, obx, oby)
+    oa, obx, oby = project_paraboloid(a, bx, by)
+    assert np.max(_slack(oa, obx, oby)) <= 1e-12
+    ra, rbx, rby = project_paraboloid(oa, obx, oby)
     assert np.max(np.abs(ra - oa)) <= 1e-12
     assert np.max(np.abs(rbx - obx)) <= 1e-12
     assert np.max(np.abs(rby - oby)) <= 1e-12
 
 
-def test_reference_fixes_interior_points():
+def test_kernel_fixes_interior_points():
     a = np.array([-2.0, -1.0, -0.5])
     bx = np.array([0.5, 1.0, 0.0])
     by = np.array([-0.5, 1.0, 0.0])
     assert np.all(a + 0.25 * (bx * bx + by * by) <= 0)
-    oa, obx, oby = reference.project_paraboloid(a, bx, by)
+    oa, obx, oby = project_paraboloid(a, bx, by)
     assert np.allclose(oa, a, atol=1e-14)
     assert np.allclose(obx, bx, atol=1e-14)
     assert np.allclose(oby, by, atol=1e-14)
 
 
-def test_reference_raises_on_nonfinite():
+def test_kernel_raises_on_nonfinite():
     with pytest.raises(RootFindFailure):
-        reference.project_paraboloid(
-            np.array([np.nan]), np.array([0.0]), np.array([0.0])
-        )
+        project_paraboloid(np.array([np.nan]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(RootFindFailure):
-        reference.project_paraboloid(
-            np.array([0.0]), np.array([np.inf]), np.array([0.0])
-        )
+        project_paraboloid(np.array([0.0]), np.array([np.inf]), np.array([0.0]))
 
 
-def test_reference_shape_validation():
+def test_kernel_shape_validation():
     with pytest.raises(ValueError):
-        reference.project_paraboloid(
-            np.zeros(3), np.zeros(2), np.zeros(3)
-        )
-
-
-@pytest.mark.skipif(
-    not _kernels.COMPILED_AVAILABLE, reason="compiled kernel not built"
-)
-class TestCompiledParity:
-    def test_matches_reference_random(self):
-        a, bx, by = _random_points(20000, 7)
-        ra = reference.project_paraboloid(a, bx, by, tol=1e-15)
-        ca = _kernels.compiled.project_paraboloid(a, bx, by, tol=1e-15)
-        for r, c in zip(ra, ca):
-            assert np.max(np.abs(r - c)) <= 1e-12
-
-    def test_matches_reference_edge_cases(self):
-        a = np.array([0.0, 1e-300, 1e12, -1e12, 0.0, 4.0])
-        bx = np.array([0.0, 0.0, 1e6, 1.0, 1e-200, -2.0])
-        by = np.array([0.0, 0.0, -1e6, 1.0, 0.0, 2.0])
-        ra = reference.project_paraboloid(a, bx, by, tol=1e-15)
-        ca = _kernels.compiled.project_paraboloid(a, bx, by, tol=1e-15)
-        # the multiplier grows with the input scale, so the achievable
-        # agreement in the density output degrades proportionally
-        scale = np.maximum(1.0, np.abs(a) + 0.25 * (bx * bx + by * by))
-        for r, c in zip(ra, ca):
-            assert np.max(np.abs(r - c) / scale) <= 1e-12
-
-    def test_compiled_raises_on_nonfinite(self):
-        with pytest.raises(RootFindFailure):
-            _kernels.compiled.project_paraboloid(
-                np.array([np.inf]), np.array([1.0]), np.array([0.0])
-            )
-
-
-def test_active_backend_exported():
-    assert _kernels.BACKEND in ("cython", "numpy")
-    out = _kernels.project_paraboloid(
-        np.array([1.0]), np.array([0.0]), np.array([0.0])
-    )
-    assert abs(out[0][0]) <= 1e-12
+        project_paraboloid(np.zeros(3), np.zeros(2), np.zeros(3))

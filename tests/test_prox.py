@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+from otsource._kernels import project_paraboloid
 from otsource.exceptions import NonConvergence
 from otsource.prox import (
     SourceModel,
     huber,
     huber_deriv,
-    proj_paraboloid,
     prox_source_l1l1,
     prox_source_l2huber,
     prox_source_l2l2,
@@ -33,26 +33,34 @@ class TestHuber:
         assert abs(huber_deriv(0.05, 0.1) - 0.5) < 1e-15
 
 
+def _project_point(a, b):
+    """Project one point (a, (bx, by)) through the batch kernel."""
+    oa, obx, oby = project_paraboloid(
+        np.array([a]), np.array([b[0]]), np.array([b[1]])
+    )
+    return float(oa[0]), (float(obx[0]), float(oby[0]))
+
+
 class TestParaboloidProjection:
     def test_apex_from_above(self):
-        out = proj_paraboloid(1.0, (0.0, 0.0))
-        assert abs(out.a) <= 1e-12
-        assert out.b == (0.0, 0.0)
+        out_a, out_b = _project_point(1.0, (0.0, 0.0))
+        assert abs(out_a) <= 1e-12
+        assert out_b == (0.0, 0.0)
 
     def test_known_multiplier(self):
         # independent oracle: root of (a-l)(1+l/2)^2 + |b|^2/4 in l
         a, b = 0.0, (2.0, 0.0)
         lam = brentq(lambda l: (a - l) * (1 + l / 2) ** 2 + 1.0, 0.0, 2.0,
                      xtol=1e-14)
-        out = proj_paraboloid(a, b)
-        assert abs(out.a - (a - lam)) < 1e-10
-        assert abs(out.b[0] - b[0] / (1 + lam / 2)) < 1e-10
+        out_a, out_b = _project_point(a, b)
+        assert abs(out_a - (a - lam)) < 1e-10
+        assert abs(out_b[0] - b[0] / (1 + lam / 2)) < 1e-10
 
     def test_optimality_vs_grid(self):
         # projection beats every feasible candidate on a fine grid
         a, b = 0.7, (1.3, -0.4)
-        out = proj_paraboloid(a, b)
-        best = (out.a - a) ** 2 + (out.b[0] - b[0]) ** 2 + (out.b[1] - b[1]) ** 2
+        out_a, out_b = _project_point(a, b)
+        best = (out_a - a) ** 2 + (out_b[0] - b[0]) ** 2 + (out_b[1] - b[1]) ** 2
         for bx in np.linspace(-2.5, 2.5, 81):
             for by in np.linspace(-2.5, 2.5, 81):
                 aa = -0.25 * (bx * bx + by * by)
@@ -64,8 +72,6 @@ class TestParaboloidProjection:
         n = 10000
         x = rng.uniform(-5, 5, (n, 3))
         y = rng.uniform(-5, 5, (n, 3))
-        from otsource._kernels import project_paraboloid
-
         px = np.column_stack(project_paraboloid(x[:, 0], x[:, 1], x[:, 2]))
         py = np.column_stack(project_paraboloid(y[:, 0], y[:, 1], y[:, 2]))
         din = np.linalg.norm(x - y, axis=1)
@@ -82,8 +88,6 @@ class TestTransportProx:
         m = rng.uniform(-3, 3, (n, 2))
         for gamma in (0.25, 1.0, 4.0):
             pr, pm = prox_transport(rho, m, gamma)
-            from otsource._kernels import project_paraboloid
-
             ka, kbx, kby = project_paraboloid(rho / gamma, m[:, 0] / gamma,
                                               m[:, 1] / gamma)
             assert np.max(np.abs(pr + gamma * ka - rho)) <= 1e-12
