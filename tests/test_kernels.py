@@ -92,7 +92,7 @@ def test_output_never_leaves_the_set():
     assert np.max(_slack(*project_paraboloid(a, bx, by))) <= 0.0
 
 
-def test_kernel_feasible_and_idempotent():
+def test_reference_feasible_and_idempotent():
     a, bx, by = _random_points(2000, 11)
     oa, obx, oby = project_paraboloid(a, bx, by)
     assert np.max(_slack(oa, obx, oby)) <= 1e-12
@@ -102,7 +102,7 @@ def test_kernel_feasible_and_idempotent():
     assert np.max(np.abs(rby - oby)) <= 1e-12
 
 
-def test_kernel_fixes_interior_points():
+def test_reference_fixes_interior_points():
     a = np.array([-2.0, -1.0, -0.5])
     bx = np.array([0.5, 1.0, 0.0])
     by = np.array([-0.5, 1.0, 0.0])
@@ -113,13 +113,13 @@ def test_kernel_fixes_interior_points():
     assert np.allclose(oby, by, atol=1e-14)
 
 
-def test_kernel_raises_on_nonfinite():
+def test_reference_raises_on_nonfinite():
     with pytest.raises(RootFindFailure):
         project_paraboloid(np.array([np.nan]), np.array([0.0]), np.array([0.0]))
     with pytest.raises(RootFindFailure):
         project_paraboloid(np.array([0.0]), np.array([np.inf]), np.array([0.0]))
 
 
-def test_kernel_shape_validation():
+def test_reference_shape_validation():
     with pytest.raises(ValueError):
         project_paraboloid(np.zeros(3), np.zeros(2), np.zeros(3))
