@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .assembly import (
     BoundaryData,
     SparseSystem,
-    assemble_rhs,
     assemble_system,
     cg_solve,
     project_continuity,
@@ -47,7 +46,6 @@ __all__ = [
     "SparseSystem",
     "State",
     "TimeProfile",
-    "assemble_rhs",
     "assemble_system",
     "build_mesh",
     "cg_solve",

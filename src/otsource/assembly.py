@@ -42,7 +42,7 @@ from .mesh import State, gradient_p1
 
 @dataclass
 class BoundaryData:
-    """Endpoint densities, one value per spatial triangle, nonnegative."""
+    """Endpoint densities, one finite nonnegative value per spatial triangle."""
 
     ua: np.ndarray
     ub: np.ndarray
@@ -52,6 +52,8 @@ class BoundaryData:
         self.ub = np.asarray(self.ub, dtype=float)
         if self.ua.shape != self.ub.shape or self.ua.ndim != 1:
             raise ValueError("endpoint densities must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(self.ua)) and np.all(np.isfinite(self.ub))):
+            raise ValueError("endpoint densities must be finite (no NaN or inf)")
         if np.any(self.ua < 0) or np.any(self.ub < 0):
             raise ValueError("endpoint densities must be nonnegative")
 
@@ -178,11 +180,6 @@ def continuity_defect(state, bdata, mesh):
     return r
 
 
-def assemble_rhs(mesh, state, bdata):
-    """Right-hand side of the projection system: minus the defect."""
-    return -continuity_defect(state, bdata, mesh)
-
-
 def cg_solve(system, rhs, tol=1e-9, maxit=None, x0=None, callback=None):
     """Conjugate gradients preconditioned by system.precond.
 
@@ -229,9 +226,7 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, x0=None, callback=None):
     )
 
 
-def project_continuity(
-    state, bdata, system, tol=1e-9, maxit=None, phi0=None, return_phi=False
-):
+def project_continuity(state, bdata, system, tol=1e-9, phi0=None, return_phi=False):
     """Orthogonal projection onto the continuity constraint set.
 
     Solves the SPD potential system, then applies the explicit update.
@@ -242,8 +237,8 @@ def project_continuity(
     projected iterate.
     """
     mesh = system.mesh
-    rhs = assemble_rhs(mesh, state, bdata)
-    phi = cg_solve(system, rhs, tol=tol, maxit=maxit, x0=phi0)
+    rhs = -continuity_defect(state, bdata, mesh)
+    phi = cg_solve(system, rhs, tol=tol, x0=phi0)
     g = gradient_p1(mesh, phi)
     rho = state.rho + 0.5 * g[:, 0]
     m = state.m + 0.5 * g[:, 1:]

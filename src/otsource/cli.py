@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .assembly import BoundaryData
-from .exceptions import EmptyImage, NegativeValue, NonConvergence, UnsupportedFormat
+from .exceptions import NonConvergence, RootFindFailure
 from .io import RunManifest, file_sha256, load_density, write_outputs
 from .prox import SOURCE_KINDS, SourceModel
 from .solver import SolverConfig, solve
@@ -142,7 +142,7 @@ def run_cli(argv=None):
             source=SourceModel(kind=opts["source"], beta=opts["beta"]),
             bc=opts["bc"],
         )
-    except (OSError, ValueError, UnsupportedFormat, NegativeValue, EmptyImage) as exc:
+    except (OSError, ValueError) as exc:  # the io input errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -160,6 +160,9 @@ def run_cli(argv=None):
         result = solve(bdata, config, progress=progress)
     except NonConvergence as exc:
         print(f"error: inner solver failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, RootFindFailure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if opts["out"]:

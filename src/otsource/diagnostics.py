@@ -18,8 +18,6 @@ from .assembly import boundary_vector
 from .mesh import spatial_slice_weights
 from .prox import huber
 
-INFEASIBLE = math.inf
-
 
 @dataclass
 class EnergyBreakdown:
@@ -38,22 +36,6 @@ class TimeProfile:
     src_abs: float
     src_pos: float
     src_neg: float
-
-
-def action_density(rho, m, eps_rho=1e-12, eps_m=1e-12):
-    """Pointwise transport integrand |m|^2 / rho.
-
-    Returns 0 when both arguments vanish (within the tolerances) and
-    math.inf as the infeasible marker when mass is negative or momentum
-    crosses vacuum; the case split avoids overflowing divisions.
-    """
-    mnorm2 = float(m[0]) ** 2 + float(m[1]) ** 2
-    rho = float(rho)
-    if rho > eps_rho:
-        return mnorm2 / rho
-    if rho >= -eps_rho and mnorm2 <= eps_m * eps_m:
-        return 0.0
-    return INFEASIBLE
 
 
 def transport_energy(state, mesh):
@@ -77,12 +59,12 @@ def transport_energy(state, mesh):
 def source_energy(z, model, delta, mesh):
     """Source part of the path energy for the given model.
 
-    The squared-L2 model integrates z^2 exactly with the consistent
-    mass matrix.  The linear-growth models evaluate, per time node k,
-    the slice cost S_k = sum_i w_i r(z_ki) with the spatial slice
-    weights and return the lumped-in-time integral of S_k^2 divided by
-    delta (trapezoid weights, so a constant slice cost integrates to
-    exactly its square).
+    The squared-L2 model integrates z^2 exactly over every tetrahedron
+    and divides by delta.  The linear-growth models evaluate, per time
+    node k, the slice cost S_k = sum_i w_i r(z_ki) with the spatial
+    slice weights and return the lumped-in-time integral of S_k^2
+    divided by delta (trapezoid weights, so a constant slice cost
+    integrates to exactly its square).
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -90,7 +72,11 @@ def source_energy(z, model, delta, mesh):
         return 0.0
     z = np.asarray(z, dtype=float)
     if model.kind == "l2l2":
-        return float(z @ (mesh.mass_matrix() @ z)) / delta
+        # I_e z^2 = vol_e / 20 * (sum_v z_v^2 + (sum_v z_v)^2) on a
+        # tetrahedron e with vertex values z_v
+        ze = z[mesh.tet_dofs]
+        per_tet = np.sum(ze * ze, axis=1) + np.sum(ze, axis=1) ** 2
+        return float(mesh.volumes @ per_tet) / (20.0 * delta)
     w = spatial_slice_weights(mesh, 0)
     zs = z.reshape(mesh.nt + 1, mesh.nsp)
     if model.kind == "l1l1":

@@ -36,7 +36,8 @@ def load_density(path, nx, scale=None):
 
     Returns one value per spatial triangle in the documented order:
     cell (i, j) owns triangles 2*(j*nx+i) and 2*(j*nx+i)+1.  Negative
-    inputs raise NegativeValue; the file type is detected from content.
+    inputs raise NegativeValue and NaN or inf CSV cells UnsupportedFormat;
+    the file type is detected from content.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -141,6 +142,8 @@ def _parse_csv(blob, path):
             row = [float(v) for v in line.split(",")]
         except ValueError as exc:
             raise UnsupportedFormat(f"{path}: bad CSV row {line!r}") from exc
+        if not all(np.isfinite(row)):
+            raise UnsupportedFormat(f"{path}: non-finite value in CSV row {line!r}")
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -202,7 +202,6 @@ class SpaceTimeMesh:
         )
 
         self._grad_mats = None
-        self._mass = None
         self._stiffness = None
         self._lumped = None
 
@@ -227,19 +226,6 @@ class SpaceTimeMesh:
             self._grad_mats = tuple(mats)
         return self._grad_mats
 
-    def mass_matrix(self):
-        """Consistent P1 mass matrix, exact for products of P1 functions."""
-        if self._mass is None:
-            w = (1.0 + np.eye(4)) / 20.0
-            vals = self.volumes[:, None, None] * w[None, :, :]
-            rows = np.repeat(self.tet_dofs, 4, axis=1).ravel()
-            cols = np.tile(self.tet_dofs, (1, 4)).ravel()
-            m = sp.coo_matrix(
-                (vals.ravel(), (rows, cols)), shape=(self.n_dofs, self.n_dofs)
-            ).tocsr()
-            self._mass = 0.5 * (m + m.T)
-        return self._mass
-
     def stiffness_matrix(self):
         """P1 stiffness matrix for the full space-time gradient."""
         if self._stiffness is None:
@@ -252,11 +238,17 @@ class SpaceTimeMesh:
         return self._stiffness
 
     def lumped_mass(self):
-        """Row sums of the mass matrix; entry i equals the integral of hat i."""
+        """Integral of each hat function, the nodal weights ell.
+
+        Exact: a hat function integrates to a quarter of the volume of
+        every tetrahedron that carries it.
+        """
         if self._lumped is None:
-            self._lumped = np.asarray(
-                self.mass_matrix().sum(axis=1)
-            ).ravel()
+            self._lumped = np.bincount(
+                self.tet_dofs.ravel(),
+                weights=np.repeat(self.volumes / 4.0, 4),
+                minlength=self.n_dofs,
+            )
         return self._lumped
 
     # -- slice helpers --------------------------------------------------------

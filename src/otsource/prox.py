@@ -10,13 +10,18 @@ positively one-homogeneous, so its proximal map follows from the Moreau
 identity
     prox_{g F}(x) = x - g * proj_K(x / g).
 
-Three source penalties are supported.  Squared L2 in space and time
-shrinks every nodal value by 1/(1+g); an L1 penalty soft-thresholds at
-g/2; the default model applies the squared L2-in-time norm of a Huber
-cost of the slice, which has no closed form and is minimized exactly
-by a dual bisection per slice.  In every case the per-slice
-subproblems decouple because the diagonal (lumped) time pairing weights
-both the penalty and the distance term of a slice by the same factor.
+Three source penalties are supported.  In the solver metric, which
+weighs node i of z by ell_i / delta (ell the integrals of the hat
+functions), the squared-L2 shrinkage z/(1+g) is the prox of
+(1/(2 delta)) sum_i ell_i z_i^2 and the soft threshold at g/2 that of
+(1/(2 delta)) sum_i ell_i |z_i|.  Neither is the functional that
+diagnostics.source_energy reports for its model (ROADMAP item 4).  The
+default model applies the squared L2-in-time norm of a Huber cost of
+the slice, which has no closed form and is minimized exactly by a dual
+bisection per slice; the slices decouple because the prox weighs
+penalty and distance of slice k by the same trapezoid time weight,
+which equals the metric wherever ell_i = tau_k w_i (every slice with
+periodic boundaries, the interior slices with Neumann ones).
 """
 
 from dataclasses import dataclass
@@ -56,13 +61,6 @@ def huber(s, beta):
     return out if out.ndim else float(out)
 
 
-def huber_deriv(s, beta):
-    """Derivative of the Huber cost, clipped to [-1, 1]."""
-    s = np.asarray(s, dtype=float)
-    out = np.clip(s / beta, -1.0, 1.0)
-    return out if out.ndim else float(out)
-
-
 def prox_transport(rho, m, gamma):
     """Proximal map of the transport energy, elementwise over tetrahedra.
 
@@ -97,15 +95,7 @@ def prox_source_l1l1(z, gamma):
     return np.sign(z) * np.maximum(np.abs(z) - 0.5 * gamma, 0.0)
 
 
-def prox_source_l2huber(
-    z,
-    gamma,
-    delta,
-    beta,
-    slice_weights,
-    grad_tol_factor=1e-15,
-    maxit=2000,
-):
+def prox_source_l2huber(z, gamma, beta, slice_weights, grad_tol_factor=1e-15, maxit=2000):
     """Slicewise proximal map of the squared Huber-integral penalty.
 
     For each time slice s solves
@@ -114,15 +104,14 @@ def prox_source_l2huber(
                + 1/2 * sum_i w_i (s_i - z_i)^2
 
     where w are the spatial slice quadrature weights; the common 1/delta
-    factor of penalty and metric cancels.  z is a P1 field whose slices
-    are contiguous blocks of len(slice_weights) values.  Raises
-    NonConvergence when a slice exceeds the iteration cap, which usually
-    signals a step size gamma too aggressive for the data scale.
+    factor of penalty and metric cancels, so delta is not an argument.
+    z is a P1 field whose slices are contiguous blocks of
+    len(slice_weights) values.  Raises NonConvergence when a slice
+    exceeds the iteration cap, which usually signals a step size gamma
+    too aggressive for the data scale.
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     z = np.asarray(z, dtype=float)

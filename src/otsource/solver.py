@@ -52,7 +52,6 @@ class SolverConfig:
     max_iters: int = 5000
     fp_tol: float = 1e-5
     cg_tol: float = 1e-9
-    cg_maxit: int = None
     source: SourceModel = field(default_factory=SourceModel)
     bc: str = "neumann"
 
@@ -148,7 +147,6 @@ def _prox_f1(state, config, mesh):
         z = prox_source_l2huber(
             state.z,
             config.gamma,
-            config.delta,
             config.source.beta,
             spatial_slice_weights(mesh, 0),
         )
@@ -170,7 +168,6 @@ def dr_step(state_aux, bdata, system, config, warm=None):
         bdata,
         system,
         tol=config.cg_tol,
-        maxit=config.cg_maxit,
         phi0=warm.phi if warm is not None else None,
         return_phi=True,
     )
@@ -200,19 +197,28 @@ def solve(bdata, config, progress=None):
     config everything else.  The result carries the last feasible
     iterate and the full iteration trace; converged=False means the cap
     was hit, which is reported, not raised.  progress, when given, is
-    called with each IterationStats.
+    called with each IterationStats.  The source model "none" with
+    endpoint masses that differ by more than 1e-9 of the larger one has
+    no solution and raises ValueError before the first iteration.
     """
     ntris = np.asarray(bdata.ua).shape[0]
     nx = int(round(np.sqrt(ntris / 2)))
     if 2 * nx * nx != ntris:
         raise ValueError(f"{ntris} triangle values do not form an nx*nx grid")
+    if config.source.kind == "none":
+        # every triangle has area 1/ntris
+        mass_a = float(np.sum(bdata.ua)) / ntris
+        mass_b = float(np.sum(bdata.ub)) / ntris
+        if abs(mass_a - mass_b) > 1e-9 * max(mass_a, mass_b):
+            raise ValueError(
+                f"source model 'none' needs endpoints of equal mass, got "
+                f"{mass_a:.9g} and {mass_b:.9g}; use a model that creates mass"
+            )
     mesh = SpaceTimeMesh(nx, config.nt, config.bc)
     system = assemble_system(mesh, config.delta)
 
     t0 = time.perf_counter()
-    aux = project_continuity(
-        initialize(mesh, bdata), bdata, system, tol=config.cg_tol, maxit=config.cg_maxit
-    )
+    aux = project_continuity(initialize(mesh, bdata), bdata, system, tol=config.cg_tol)
     warm = _WarmStart()
     stats = []
     feasible = aux

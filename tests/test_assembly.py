@@ -4,7 +4,6 @@ import scipy.sparse.linalg as spla
 
 from otsource.assembly import (
     BoundaryData,
-    assemble_rhs,
     assemble_system,
     boundary_vector,
     cg_solve,
@@ -18,6 +17,11 @@ def _zero_state(mesh):
     return State(
         np.zeros(mesh.n_tets), np.zeros((mesh.n_tets, 2)), np.zeros(mesh.n_dofs)
     )
+
+
+def _rhs(mesh, state, bdata):
+    """Right-hand side of the projection system: minus the defect."""
+    return -continuity_defect(state, bdata, mesh)
 
 
 def _zero_bdata(mesh):
@@ -53,7 +57,7 @@ class TestSystem:
 class TestRhs:
     def test_zero_everything(self):
         mesh = build_mesh(2, 2)
-        rhs = assemble_rhs(mesh, _zero_state(mesh), _zero_bdata(mesh))
+        rhs = _rhs(mesh, _zero_state(mesh), _zero_bdata(mesh))
         assert np.array_equal(rhs, np.zeros(mesh.n_dofs))
 
     def test_unit_density_pairs_with_time_gradient(self):
@@ -62,7 +66,7 @@ class TestRhs:
         mesh = build_mesh(3, 3)
         state = _zero_state(mesh)
         state.rho[:] = 1.0
-        rhs = assemble_rhs(mesh, state, _zero_bdata(mesh))
+        rhs = _rhs(mesh, state, _zero_bdata(mesh))
         t = mesh.vertices[:, 0]
         assert abs(t @ rhs - (-1.0)) < 1e-13
 
@@ -70,7 +74,7 @@ class TestRhs:
         mesh = build_mesh(2, 2)
         n = 2 * mesh.nx * mesh.nx
         bdata = BoundaryData(np.zeros(n), np.ones(n))
-        rhs = assemble_rhs(mesh, _zero_state(mesh), bdata)
+        rhs = _rhs(mesh, _zero_state(mesh), bdata)
         last = mesh.slice_dofs(mesh.nt)
         assert abs(rhs[last].sum() - 1.0) < 1e-13
         mask = np.ones(mesh.n_dofs, dtype=bool)
@@ -104,7 +108,7 @@ class TestCg:
         mesh = build_mesh(2, 2)
         for delta in (1.0, 2.5):
             system = assemble_system(mesh, delta)
-            rhs = mesh.mass_matrix() @ np.ones(mesh.n_dofs)
+            rhs = mesh.lumped_mass()
             phi = cg_solve(system, rhs, tol=1e-12)
             direct = spla.spsolve(system.matrix.tocsc(), rhs)
             assert np.allclose(phi, direct, atol=1e-9)
@@ -169,27 +173,18 @@ class TestDefect:
         defect = continuity_defect(_zero_state(mesh), bdata, mesh)
         assert abs(defect.sum() + 1.0) < 1e-13  # -(uB mass)
 
-    def test_rhs_is_negative_defect(self):
-        mesh = build_mesh(2, 2)
-        rng = np.random.default_rng(3)
-        state = State(
-            rng.standard_normal(mesh.n_tets),
-            rng.standard_normal((mesh.n_tets, 2)),
-            rng.standard_normal(mesh.n_dofs),
-        )
-        n = 2 * mesh.nx * mesh.nx
-        bdata = BoundaryData(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
-        assert np.allclose(
-            assemble_rhs(mesh, state, bdata),
-            -continuity_defect(state, bdata, mesh),
-            atol=1e-14,
-        )
-
 
 class TestBoundaryData:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             BoundaryData(np.array([-1.0, 0.0]), np.array([0.0, 0.0]))
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BoundaryData(np.array([bad, 0.0]), np.array([0.0, 0.0]))
+            with pytest.raises(ValueError, match="finite"):
+                BoundaryData(np.array([0.0, 0.0]), np.array([0.0, bad]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

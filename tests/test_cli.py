@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from otsource import _kernels
 from otsource.cli import DEFAULTS, run_cli
+from otsource.exceptions import RootFindFailure
 from otsource.io import file_sha256, read_pgm
 
 
@@ -66,6 +68,34 @@ def test_negative_density_exit_1(tmp_path, capsys):
     code = run_cli(["--a", a, "--b", b, *BASE])
     assert code == 1
     assert "nonnegative" in capsys.readouterr().err
+
+
+def test_non_finite_density_exit_1(tmp_path, capsys):
+    a = _csv(tmp_path / "a.csv", np.ones((2, 2)))
+    b = _csv(tmp_path / "b.csv", [[1.0, np.nan], [1.0, 1.0]])
+    code = run_cli(["--a", a, "--b", b, *BASE])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_source_none_unequal_masses_exit_1(moving_pair, capsys):
+    a, b = moving_pair
+    code = run_cli(["--a", a, "--b", b, *BASE, "--source", "none"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "equal mass" in captured.err
+    assert "iter" not in captured.out
+
+
+def test_kernel_root_find_failure_exit_1(moving_pair, monkeypatch, capsys):
+    def failing(a, bx, by):
+        raise RootFindFailure("paraboloid projection received non-finite input")
+
+    monkeypatch.setattr(_kernels, "project_paraboloid", failing)
+    a, b = moving_pair
+    code = run_cli(["--a", a, "--b", b, *BASE])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: paraboloid projection")
 
 
 def test_identical_endpoints_converge_exit_0(flat_pair, capsys):

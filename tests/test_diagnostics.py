@@ -5,8 +5,6 @@ import pytest
 
 from otsource.assembly import BoundaryData, boundary_vector
 from otsource.diagnostics import (
-    INFEASIBLE,
-    action_density,
     energy_breakdown,
     mass_balance_defect,
     source_energy,
@@ -28,27 +26,59 @@ def _const_state(mesh, rho=1.0, mx=0.0, my=0.0, z=0.0):
 
 
 # ---------------------------------------------------------------- action
+# the pointwise rule for |m|^2 / rho, read through transport_energy: the
+# first element carries the case, the others a unit pair (rho, m) =
+# (1, (1, 0)) that fixes the iterate's scale
+
+
+def _one_element_case(mesh, rho, m):
+    """(energy of element 0, infeasible volume) of the case."""
+    state = _const_state(mesh, rho=1.0, mx=1.0)
+    state.rho[0] = rho
+    state.m[0] = m
+    energy, bad = transport_energy(state, mesh)
+    return energy - float(np.sum(mesh.volumes[1:])), bad
 
 
 def test_action_density_zero_at_vacuum():
-    assert action_density(0.0, np.array([0.0, 0.0])) == 0.0
+    mesh = build_mesh(2, 2)
+    energy, bad = _one_element_case(mesh, 0.0, (0.0, 0.0))
+    assert energy == 0.0
+    assert bad == 0.0
 
 
 def test_action_density_ratio_when_mass_positive():
-    assert action_density(2.0, np.array([3.0, 4.0])) == pytest.approx(12.5)
+    mesh = build_mesh(2, 2)
+    energy, bad = _one_element_case(mesh, 2.0, (3.0, 4.0))
+    assert energy == pytest.approx(12.5 * mesh.volumes[0], rel=1e-12)
+    assert bad == 0.0
 
 
 def test_action_density_infeasible_momentum_through_vacuum():
-    assert action_density(0.0, np.array([1.0, 0.0])) == INFEASIBLE
-    assert math.isinf(action_density(0.0, np.array([0.0, 1e-3])))
+    mesh = build_mesh(2, 2)
+    for m in ((1.0, 0.0), (0.0, 1e-3)):
+        energy, bad = _one_element_case(mesh, 0.0, m)
+        assert bad == pytest.approx(mesh.volumes[0], rel=1e-12)
+        assert energy == 0.0
 
 
 def test_action_density_infeasible_negative_mass():
-    assert action_density(-1.0, np.array([0.0, 0.0])) == INFEASIBLE
+    mesh = build_mesh(2, 2)
+    energy, bad = _one_element_case(mesh, -1.0, (0.0, 0.0))
+    assert bad == pytest.approx(mesh.volumes[0], rel=1e-12)
+    assert energy == 0.0
 
 
 def test_action_density_tolerances_read_noise_as_vacuum():
-    assert action_density(-1e-13, np.array([1e-13, 0.0])) == 0.0
+    # noise is measured against the iterate's own scale: 1e-13 is below
+    # 1e-12 * max rho at unit scale, but real mass at scale 1e-6
+    mesh = build_mesh(2, 2)
+    energy, bad = _one_element_case(mesh, -1e-13, (1e-13, 0.0))
+    assert (energy, bad) == (0.0, 0.0)
+    state = _const_state(mesh, rho=1e-6)
+    state.rho[0] = -1e-13
+    _, bad = transport_energy(state, mesh)
+    assert bad == pytest.approx(mesh.volumes[0], rel=1e-12)
 
 
 # ------------------------------------------------------------- transport
@@ -109,6 +139,27 @@ def test_source_energy_l2l2_constant():
     assert source_energy(z, SourceModel("l2l2"), 2.0, mesh) == pytest.approx(
         2.0, rel=1e-12
     )
+
+
+def test_source_energy_l2l2_integrates_quadratics():
+    # exact integrals over [0,1]^3 of products of nodal-affine fields,
+    # read from the energy by polarization: <u, v> = (E(u+v) - E(u-v)) / 4
+    mesh = build_mesh(3, 3)
+
+    def energy(s):
+        return source_energy(s, SourceModel("l2l2"), 1.0, mesh)
+
+    def inner(u, v):
+        return (energy(u + v) - energy(u - v)) / 4.0
+
+    t, x, y = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]
+    one = np.ones(mesh.n_dofs)
+    assert abs(inner(one, one) - 1.0) < 1e-13
+    assert abs(inner(t, one) - 0.5) < 1e-13
+    assert abs(inner(t, t) - 1.0 / 3.0) < 1e-13
+    assert abs(inner(t, x) - 0.25) < 1e-13
+    assert abs(inner(x, y) - 0.25) < 1e-13
+    assert abs(source_energy(x, SourceModel("l2l2"), 2.0, mesh) - 1.0 / 6.0) < 1e-13
 
 
 def test_source_energy_huber_constant_linear_branch():

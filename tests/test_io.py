@@ -71,6 +71,14 @@ def test_csv_negative_rejected(tmp_path):
         load_density(path, 2)
 
 
+def test_csv_non_finite_rejected(tmp_path):
+    # NaN passes a "< 0" check, so it needs its own
+    for cell in ("nan", "inf", "-inf", "NaN"):
+        path = _write(tmp_path / "m.csv", f"1,{cell}\n3,4\n")
+        with pytest.raises(UnsupportedFormat, match="non-finite"):
+            load_density(path, 2)
+
+
 def test_empty_csv_rejected(tmp_path):
     path = _write(tmp_path / "m.csv", "# nothing\n")
     with pytest.raises(EmptyImage):

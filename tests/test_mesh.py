@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from otsource.diagnostics import source_energy
 from otsource.mesh import SpaceTimeMesh, build_mesh, gradient_p1, spatial_slice_weights
+from otsource.prox import SourceModel
 
 
 def test_counts_small():
@@ -136,25 +138,24 @@ def test_time_weights_trapezoid():
     assert np.allclose(tw, [0.125, 0.25, 0.25, 0.25, 0.125])
 
 
-def test_mass_matrix_integrates_quadratics():
-    mesh = build_mesh(3, 3)
-    M = mesh.mass_matrix()
-    t, x, y = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]
-    one = np.ones(mesh.n_dofs)
-    # exact integrals over [0,1]^3 of products of nodal-affine fields
-    assert abs(one @ (M @ one) - 1.0) < 1e-13
-    assert abs(t @ (M @ one) - 0.5) < 1e-13
-    assert abs(t @ (M @ t) - 1.0 / 3.0) < 1e-13
-    assert abs(t @ (M @ x) - 0.25) < 1e-13
-    assert abs(x @ (M @ y) - 0.25) < 1e-13
-
-
 def test_lumped_mass_is_row_sum():
+    # ell_i = <hat_i, 1> in the exact L2 pairing, which the l2l2 source
+    # energy evaluates: <u, v> = (E(u + v) - E(u - v)) / 4 at delta = 1
     mesh = build_mesh(2, 3)
-    M = mesh.mass_matrix()
     ell = mesh.lumped_mass()
-    assert np.allclose(ell, np.asarray(M.sum(axis=1)).ravel(), atol=1e-15)
+    one = np.ones(mesh.n_dofs)
+
+    def energy(u):
+        return source_energy(u, SourceModel("l2l2"), 1.0, mesh)
+
+    rows = [(energy(e + one) - energy(e - one)) / 4.0 for e in np.eye(mesh.n_dofs)]
+    assert np.allclose(ell, rows, rtol=0.0, atol=1e-14)
+    # and it integrates affine fields exactly
+    t, x, y = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]
     assert abs(ell.sum() - 1.0) < 1e-13
+    assert abs(ell @ t - 0.5) < 1e-13
+    assert abs(ell @ x - 0.5) < 1e-13
+    assert abs(ell @ (1.0 + 2.0 * t - 3.0 * x + y) - 1.0) < 1e-13
 
 
 def test_stiffness_annihilates_constants():

@@ -219,6 +219,22 @@ def test_solve_source_none_pins_z():
     assert result.stats[-1].mass_balance_defect <= 1e-9
 
 
+def test_solve_source_none_rejects_unequal_masses():
+    # no z = 0 path joins endpoints of different mass; without the check
+    # such a run reaches the cap with the residual flat at its first value
+    nx = 4
+    bdata = _random_bdata(nx, seed=7)
+    cfg = SolverConfig(nt=3, max_iters=40, fp_tol=0.0, source=SourceModel("none"))
+    seen = []
+    with pytest.raises(ValueError, match="equal mass"):
+        solve(bdata, cfg, progress=seen.append)
+    assert seen == []
+    # a relative gap of 1e-12 is rounding, not a different mass
+    ub = bdata.ub * (np.sum(bdata.ua) / np.sum(bdata.ub)) * (1.0 + 1e-12)
+    cfg = SolverConfig(nt=3, max_iters=2, fp_tol=0.0, source=SourceModel("none"))
+    assert len(solve(BoundaryData(bdata.ua, ub), cfg).stats) == 2
+
+
 def test_solve_trace_is_complete_and_finite():
     nx = 4
     bdata = _random_bdata(nx, seed=8)
