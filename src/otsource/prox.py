@@ -17,8 +17,10 @@ functions), the squared-L2 shrinkage z/(1+g) is the prox of
 (1/(2 delta)) sum_i ell_i |z_i|.  Neither is the functional that
 diagnostics.source_energy reports for its model (ROADMAP item 4).  The
 default model applies the squared L2-in-time norm of a Huber cost of
-the slice, which has no closed form and is minimized exactly by a dual
-bisection per slice; the slices decouple because the prox weighs
+the slice, which has no closed form.  Its prox reduces to the root of
+one increasing, concave scalar dual per slice, which Newton's method
+from zero reaches monotonically in a handful of steps (see
+_huber_slices_argmin); the slices decouple because the prox weighs
 penalty and distance of slice k by the same trapezoid time weight,
 which equals the metric wherever ell_i = tau_k w_i (every slice with
 periodic boundaries, the interior slices with Neumann ones).
@@ -138,37 +140,45 @@ def _huber_slices_argmin(zs, w, gamma, beta, grad_tol_factor, maxit):
     fixed mu each node solves min_s mu r_beta(s) + 1/2 (s - z)^2, the
     Huber shrinkage s(mu) = z / (1 + mu/beta) where |z| <= beta + mu
     and z - mu sign(z) beyond.  The dual optimum is the root of
-    f(mu) = mu - 2 gamma T(s(mu)), which is increasing with
-    f(0) <= 0 <= f(2 gamma T(z)), so bisection on that bracket solves
-    every slice in the same vector pass; the result is exact up to the
-    bracket width.  grad_tol_factor sets the relative bracket-width
-    target and maxit caps the bisection steps.
+    f(mu) = mu - 2 gamma T(s(mu)).
+
+    Along mu, a node's term of dT/dmu is -w z^2 beta / (beta + mu)^3
+    in the quadratic regime and -w in the linear one; at the breakpoint
+    |z| = beta + mu it jumps from -w to -w beta / |z| >= -w.  So T is
+    convex, f is concave and increasing with f' >= 1, and f(0) <= 0:
+    Newton's method from mu = 0 rises monotonically to the root without
+    passing it, on every slice in the same vector pass.  Steps are
+    clamped to >= 0 and the iterate to the upper bound 2 gamma T(z),
+    which only guards rounding.  Iteration stops once every slice's
+    step is at most grad_tol_factor * max(1, 2 gamma T(z)); maxit caps
+    the Newton steps.
     """
     zs = np.asarray(zs, dtype=float)
-    nslices, _ = zs.shape
+    az = np.abs(zs)
+    sign = np.sign(zs)
+    z2b = zs * zs * beta
 
     def shrink(mu):
+        """Node shrinkages s(mu) and the quadratic-regime mask."""
         mu_c = mu[:, None]
-        quad = np.abs(zs) <= beta + mu_c
-        return np.where(quad, zs / (1.0 + mu_c / beta), zs - mu_c * np.sign(zs))
+        quad = az <= beta + mu_c
+        return np.where(quad, zs / (1.0 + mu_c / beta), zs - mu_c * sign), quad
 
-    def slice_total(s):
-        return huber(s, beta) @ w
-
-    hi = 2.0 * gamma * slice_total(zs)
-    lo = np.zeros(nslices)
+    hi = 2.0 * gamma * (huber(zs, beta) @ w)
     tol = grad_tol_factor * np.maximum(1.0, hi)
+    mu = np.zeros(zs.shape[0])
+    step = hi  # what the error reports if maxit allows no step
     for _ in range(maxit):
-        if np.all(hi - lo <= tol):
-            break
-        mid = 0.5 * (lo + hi)
-        up = mid - 2.0 * gamma * slice_total(shrink(mid)) > 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    if np.any(hi - lo > tol):
-        raise NonConvergence(
-            "dual bisection for the Huber source prox hit its iteration cap",
-            maxit,
-            float(np.max(hi - lo)),
-        )
-    return shrink(0.5 * (lo + hi))
+        s, quad = shrink(mu)
+        f = mu - 2.0 * gamma * (huber(s, beta) @ w)
+        bmu = beta + mu[:, None]
+        slope = np.where(quad, z2b / (bmu * bmu * bmu), 1.0) @ w
+        step = np.minimum(np.maximum(-f / (1.0 + 2.0 * gamma * slope), 0.0), hi - mu)
+        mu += step
+        if np.all(step <= tol):
+            return shrink(mu)[0]
+    raise NonConvergence(
+        "Newton iteration for the Huber source prox dual hit its iteration cap",
+        maxit,
+        float(np.max(step)),
+    )

@@ -31,6 +31,7 @@ import numpy as np
 
 from .assembly import assemble_system, boundary_vector, project_continuity
 from .diagnostics import source_energy, transport_energy
+from .exceptions import NonConvergence
 from .mesh import SpaceTimeMesh, State, spatial_slice_weights
 from .prox import (
     SourceModel,
@@ -64,6 +65,10 @@ class SolverConfig:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not (np.isfinite(self.fp_tol) and self.fp_tol >= 0):
+            raise ValueError(f"fp_tol must be finite and nonnegative, got {self.fp_tol}")
+        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
+            raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
         if isinstance(self.source, str):
             self.source = SourceModel(kind=self.source)
 
@@ -153,19 +158,20 @@ def _prox_f1(state, config, mesh):
     return State(rho, m, z)
 
 
-def dr_step(state_aux, bdata, system, config, warm=None):
+def dr_step(state_aux, b, system, config, warm=None):
     """One Douglas-Rachford iteration.
 
-    Returns (state_aux_next, feasible, prox_image, residual): feasible
-    is the projected iterate, prox_image the output of the F1 prox at
-    the reflected point, residual the weighted-norm distance between
-    the two.  warm, when given, carries the previous projection
-    potential across calls.
+    b is the boundary_vector of the endpoint data.  Returns
+    (state_aux_next, feasible, prox_image, residual): feasible is the
+    projected iterate, prox_image the output of the F1 prox at the
+    reflected point, residual the weighted-norm distance between the
+    two.  warm, when given, carries the previous projection potential
+    across calls.
     """
     mesh = system.mesh
     q, phi = project_continuity(
         state_aux,
-        bdata,
+        b,
         system,
         tol=config.cg_tol,
         phi0=warm.phi if warm is not None else None,
@@ -197,9 +203,11 @@ def solve(bdata, config, progress=None):
     config everything else.  The result carries the last feasible
     iterate and the full iteration trace; converged=False means the cap
     was hit, which is reported, not raised.  progress, when given, is
-    called with each IterationStats.  The source model "none" with
-    endpoint masses that differ by more than 1e-9 of the larger one has
-    no solution and raises ValueError before the first iteration.
+    called with each IterationStats.  A non-finite fixed-point residual
+    raises NonConvergence at the iteration that produced it.  The source
+    model "none" with endpoint masses that differ by more than 1e-9 of
+    the larger one has no solution and raises ValueError before the
+    first iteration.
     """
     ntris = np.asarray(bdata.ua).shape[0]
     nx = int(round(np.sqrt(ntris / 2)))
@@ -218,19 +226,23 @@ def solve(bdata, config, progress=None):
     system = assemble_system(mesh, config.delta)
 
     t0 = time.perf_counter()
-    aux = project_continuity(initialize(mesh, bdata), bdata, system, tol=config.cg_tol)
+    # constants of the constraint and the mass-balance identity, built
+    # once for the whole loop
+    b = boundary_vector(mesh, bdata)
+    endpoint_mass = float(np.sum(b))
+    nodal = mesh.lumped_mass()
+    aux = project_continuity(initialize(mesh, bdata), b, system, tol=config.cg_tol)
     warm = _WarmStart()
     stats = []
     feasible = aux
     converged = False
     threshold = None
-    # constants of the mass-balance identity, hoisted out of the loop
-    endpoint_mass = float(np.sum(boundary_vector(mesh, bdata)))
-    nodal = mesh.lumped_mass()
     for it in range(1, config.max_iters + 1):
-        aux, feasible, image, residual = dr_step(
-            aux, bdata, system, config, warm=warm
-        )
+        aux, feasible, image, residual = dr_step(aux, b, system, config, warm=warm)
+        if not np.isfinite(residual):
+            raise NonConvergence(
+                f"DR fixed-point residual is not finite at iteration {it}", it, residual
+            )
         # the energy trace reads the prox image: it lives in the domain
         # of the transport integrand, so the trace does not inherit the
         # near-vacuum density ratios that make the projected iterate's

@@ -21,7 +21,7 @@ def _zero_state(mesh):
 
 def _rhs(mesh, state, bdata):
     """Right-hand side of the projection system: minus the defect."""
-    return -continuity_defect(state, bdata, mesh)
+    return -continuity_defect(state, boundary_vector(mesh, bdata), mesh)
 
 
 def _zero_bdata(mesh):
@@ -170,7 +170,7 @@ class TestDefect:
         mesh = build_mesh(2, 2)
         n = 2 * mesh.nx * mesh.nx
         bdata = BoundaryData(np.zeros(n), np.ones(n))
-        defect = continuity_defect(_zero_state(mesh), bdata, mesh)
+        defect = continuity_defect(_zero_state(mesh), boundary_vector(mesh, bdata), mesh)
         assert abs(defect.sum() + 1.0) < 1e-13  # -(uB mass)
 
 

@@ -55,6 +55,15 @@ def test_bad_alpha_message_and_exit_1(flat_pair, capsys):
     assert "alpha must lie in (0, 2)" in capsys.readouterr().err
 
 
+def test_nan_cg_tol_exit_1(moving_pair, capsys):
+    a, b = moving_pair
+    code = run_cli(["--a", a, "--b", b, *BASE, "--cg-tol", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: cg_tol must be finite")
+    assert "iter" not in captured.out
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     a = _csv(tmp_path / "a.csv", np.ones((2, 2)))
     code = run_cli(["--a", a, "--b", str(tmp_path / "nope.csv"), *BASE])

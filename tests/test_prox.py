@@ -197,6 +197,54 @@ class TestSourceProxes:
             prox_source_l2huber(np.array([100.0]), 50.0, 0.1, np.array([1.0]), maxit=1)
 
 
+def _bisection_slices_argmin(zs, w, gamma, beta):
+    """Reference slice prox: bisection on the dual root of every slice.
+
+    The dual f(mu) = mu - 2 gamma T(s(mu)) is increasing with
+    f(0) <= 0 <= f(2 gamma T(z)); halving that bracket until its width
+    is 1e-15 * max(1, 2 gamma T(z)) pins the root without using the
+    derivative the solver's Newton iteration relies on.
+    """
+
+    def shrink(mu):
+        mu_c = mu[:, None]
+        quad = np.abs(zs) <= beta + mu_c
+        return np.where(quad, zs / (1.0 + mu_c / beta), zs - mu_c * np.sign(zs))
+
+    hi = 2.0 * gamma * (huber(zs, beta) @ w)
+    lo = np.zeros(zs.shape[0])
+    tol = 1e-15 * np.maximum(1.0, hi)
+    for _ in range(2000):
+        if np.all(hi - lo <= tol):
+            break
+        mid = 0.5 * (lo + hi)
+        up = mid - 2.0 * gamma * (huber(shrink(mid), beta) @ w) > 0.0
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    assert np.all(hi - lo <= tol)
+    return shrink(0.5 * (lo + hi))
+
+
+def test_huber_newton_matches_bisection():
+    # random multi-slice inputs over the scales the solver meets and
+    # beyond: every case converges within 30 Newton steps and agrees
+    # with the bisection root to 1e-10 of the input scale
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        nslices = int(rng.integers(1, 6))
+        nodes = int(rng.choice([1, 3, 25, 289]))
+        scale = 10.0 ** rng.uniform(-6, 3)
+        gamma = 10.0 ** rng.uniform(-4, 2)
+        beta = 10.0 ** rng.uniform(-4, 1)
+        zs = scale * rng.standard_normal((nslices, nodes))
+        zs *= rng.uniform(0.0, 1.0, (nslices, 1))
+        w = rng.uniform(0.1, 1.0, nodes) / nodes
+        out = prox_source_l2huber(zs.ravel(), gamma, beta, w, maxit=30)
+        ref = _bisection_slices_argmin(zs, w, gamma, beta)
+        gap = np.max(np.abs(out.reshape(zs.shape) - ref))
+        assert gap <= 1e-10 * np.max(np.abs(zs)), (scale, gamma, beta, gap)
+
+
 def test_l2huber_prox_minimizes_reported_energy_plus_distance():
     """The solver's l2huber prox output y of z minimizes
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from otsource.assembly import BoundaryData, assemble_system, continuity_defect
+from otsource import solver as solver_module
+from otsource.assembly import (
+    BoundaryData,
+    assemble_system,
+    boundary_vector,
+    continuity_defect,
+)
 from otsource.diagnostics import source_energy, transport_energy
+from otsource.exceptions import NonConvergence
 from otsource.mesh import State, build_mesh
 from otsource.prox import SourceModel
 from otsource.solver import (
@@ -34,6 +41,12 @@ def test_config_validation():
         SolverConfig(alpha=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    for value in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="fp_tol"):
+            SolverConfig(fp_tol=value)
+    for value in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cg_tol"):
+            SolverConfig(cg_tol=value)
 
 
 def test_config_accepts_source_kind_string():
@@ -113,7 +126,7 @@ def test_dr_step_zero_state_is_fixed_point():
     aux = State(
         np.zeros(mesh.n_tets), np.zeros((mesh.n_tets, 2)), np.zeros(mesh.n_dofs)
     )
-    aux2, feasible, image, residual = dr_step(aux, bdata, system, cfg)
+    aux2, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     assert residual == 0.0
     for out in (aux2, feasible, image):
         assert np.all(out.rho == 0.0)
@@ -131,7 +144,7 @@ def test_dr_step_stationary_pair_is_fixed_point():
     bdata = BoundaryData(bdata.ua, bdata.ua.copy())
     cfg = SolverConfig(nt=2, source=SourceModel("none"))
     aux = initialize(mesh, bdata)
-    aux2, feasible, image, residual = dr_step(aux, bdata, system, cfg)
+    aux2, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     assert residual <= 1e-10
     assert np.allclose(aux2.rho, aux.rho, atol=1e-10)
     assert np.allclose(feasible.rho, aux.rho, atol=1e-10)
@@ -145,8 +158,8 @@ def test_dr_step_feasible_iterate_satisfies_continuity():
     cfg = SolverConfig(nt=2, source=SourceModel("l2l2"))
     aux = initialize(mesh, bdata)
     for _ in range(3):
-        aux, feasible, image, residual = dr_step(aux, bdata, system, cfg)
-        defect = continuity_defect(feasible, bdata, mesh)
+        aux, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
+        defect = continuity_defect(feasible, boundary_vector(mesh, bdata), mesh)
         assert np.linalg.norm(defect) <= 1e-8
 
 
@@ -159,7 +172,7 @@ def test_dr_step_update_algebra():
     alpha = 1.3
     cfg = SolverConfig(nt=2, alpha=alpha, source=SourceModel("l2l2"))
     aux = initialize(mesh, bdata)
-    aux2, feasible, image, _ = dr_step(aux, bdata, system, cfg)
+    aux2, feasible, image, _ = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     assert np.allclose(aux2.rho - aux.rho, alpha * (image.rho - feasible.rho))
     assert np.allclose(aux2.m - aux.m, alpha * (image.m - feasible.m))
     assert np.allclose(aux2.z - aux.z, alpha * (image.z - feasible.z))
@@ -173,7 +186,7 @@ def test_dr_step_residual_is_weighted_distance():
     bdata = _random_bdata(nx, seed=5)
     cfg = SolverConfig(nt=2, delta=delta, source=SourceModel("l2l2"))
     aux = initialize(mesh, bdata)
-    _, feasible, image, residual = dr_step(aux, bdata, system, cfg)
+    _, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     expected = weighted_norm(
         image.rho - feasible.rho,
         image.m - feasible.m,
@@ -233,6 +246,21 @@ def test_solve_source_none_rejects_unequal_masses():
     ub = bdata.ub * (np.sum(bdata.ua) / np.sum(bdata.ub)) * (1.0 + 1e-12)
     cfg = SolverConfig(nt=3, max_iters=2, fp_tol=0.0, source=SourceModel("none"))
     assert len(solve(BoundaryData(bdata.ua, ub), cfg).stats) == 2
+
+
+def test_solve_stops_on_non_finite_residual(monkeypatch):
+    # a prox that returns NaN makes the residual NaN at once; the loop
+    # must stop there instead of running to the cap
+    def nan_prox(z, gamma):
+        return np.full_like(z, np.nan)
+
+    monkeypatch.setattr(solver_module, "prox_source_l2l2", nan_prox)
+    cfg = SolverConfig(nt=3, max_iters=50, source=SourceModel("l2l2"))
+    seen = []
+    with pytest.raises(NonConvergence, match="not finite at iteration 1") as info:
+        solve(_random_bdata(4, seed=8), cfg, progress=seen.append)
+    assert info.value.iterations == 1
+    assert seen == []
 
 
 def test_solve_trace_is_complete_and_finite():
