@@ -30,13 +30,12 @@ DEFAULTS = {
     "source": "l2huber",
     "beta": 0.1,
     "bc": "neumann",
-    "cg_tol": 1e-9,
     "scale": None,
     "out": None,
     "log_every": 0,
 }
 
-_FLOAT_KEYS = ("delta", "gamma", "alpha", "fp_tol", "beta", "cg_tol", "scale")
+_FLOAT_KEYS = ("delta", "gamma", "alpha", "fp_tol", "beta", "scale")
 _INT_KEYS = ("nx", "nt", "iters", "log_every")
 
 
@@ -57,7 +56,6 @@ def build_parser():
     p.add_argument("--source", choices=SOURCE_KINDS, help="source model")
     p.add_argument("--beta", type=float, help="Huber threshold")
     p.add_argument("--bc", choices=("neumann", "periodic"), help="spatial boundaries")
-    p.add_argument("--cg-tol", dest="cg_tol", type=float, help="inner linear solver tolerance")
     p.add_argument("--scale", type=float, help="input value scale (default: maxval to 1.0)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="key=value option file")
@@ -138,7 +136,6 @@ def run_cli(argv=None):
             alpha=opts["alpha"],
             max_iters=opts["iters"],
             fp_tol=opts["fp_tol"],
-            cg_tol=opts["cg_tol"],
             source=SourceModel(kind=opts["source"], beta=opts["beta"]),
             bc=opts["bc"],
         )

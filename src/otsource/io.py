@@ -19,6 +19,7 @@ import hashlib
 import os
 
 import numpy as np
+import scipy
 
 from .diagnostics import time_profiles
 from .exceptions import EmptyImage, NegativeValue, UnsupportedFormat
@@ -291,6 +292,8 @@ def write_outputs(result, outdir, manifest=None):
     manifest.add("frame_norm_rho", _fmt(norm_rho))
     manifest.add("frame_norm_mom", _fmt(norm_mom))
     manifest.add("frame_norm_src", _fmt(norm_src))
+    manifest.add("numpy", np.__version__)
+    manifest.add("scipy", scipy.__version__)
     manifest_path = os.path.join(outdir, "manifest.txt")
     manifest.write(manifest_path)
 

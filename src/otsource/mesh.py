@@ -7,7 +7,10 @@ over one time interval gives a prism, which is split into three
 tetrahedra by the Kuhn rule keyed on global vertex indices; because the
 diagonal chosen on every quadrilateral prism face depends only on the
 indices of the shared edge, the resulting tetrahedral mesh is
-conforming.
+conforming.  The element geometry is closed form: every tetrahedron has
+volume hx^2 ht / 6, and the path through its four vertices steps once
+along each axis, so each gradient component of a P1 field is one
+difference of two nodal values over the grid spacing.
 
 Two element spaces are used throughout:
 
@@ -72,15 +75,14 @@ class SpaceTimeMesh:
     vertices : (n_verts_geom, 3) float
         Geometric vertex coordinates (t, x, y).
     tets : (n_tets, 4) int
-        Geometric vertex numbers of each tetrahedron, oriented so the
-        signed volume is positive.
+        Geometric vertex numbers of each tetrahedron in Kuhn path order:
+        consecutive vertices differ by one grid step along one axis,
+        stride 1 for x, nx+1 for y and (nx+1)^2 for t.  The orientation
+        (the sign of the volume spanned) is not fixed.
     tet_dofs : (n_tets, 4) int
         Degree-of-freedom numbers of the tetrahedron vertices.
     volumes : (n_tets,) float
-        Tetrahedron volumes (all positive).
-    basis_grad : (n_tets, 3, 4) float
-        Constant gradients of the four P1 hat functions per element,
-        components ordered (t, x, y).
+        Tetrahedron volumes, all equal to hx^2 ht / 6.
     tet_slab : (n_tets,) int
         Time interval each tetrahedron belongs to.
     tet_tri : (n_tets,) int
@@ -160,26 +162,9 @@ class SpaceTimeMesh:
         self.tet_slab = np.repeat(np.arange(nt), 3 * ntris)
         self.tet_tri = np.tile(np.repeat(np.arange(ntris), 3), nt)
 
-        # orientation fix, then element geometry
-        coords = self.vertices[self.tets]
-        edges = coords[:, 1:] - coords[:, :1]
-        det = np.linalg.det(edges)
-        flip = det < 0
-        if np.any(flip):
-            self.tets[flip, 2], self.tets[flip, 3] = (
-                self.tets[flip, 3].copy(),
-                self.tets[flip, 2].copy(),
-            )
-            coords = self.vertices[self.tets]
-            edges = coords[:, 1:] - coords[:, :1]
-            det = np.linalg.det(edges)
-        self.volumes = det / 6.0
-
-        inv = np.linalg.inv(edges)
-        grad = np.empty((self.n_tets, 3, 4))
-        grad[:, :, 1:] = inv
-        grad[:, :, 0] = -inv.sum(axis=2)
-        self.basis_grad = grad
+        # each prism of volume tri_area * ht splits into three tetrahedra
+        # of equal volume
+        self.volumes = np.full(self.n_tets, self.tri_area * self.ht / 3.0)
 
         # degrees of freedom
         if bc == "neumann":
@@ -211,18 +196,27 @@ class SpaceTimeMesh:
         """Sparse maps from P1 dof vectors to per-tet gradient components.
 
         Returns (Gt, Gx, Gy), each of shape (n_tets, n_dofs), so that
-        Gc @ phi is the c-component of the elementwise gradient.
+        Gc @ phi is the c-component of the elementwise gradient.  Along
+        the Kuhn path of a tetrahedron exactly one step moves along each
+        axis, so each component is the difference of the P1 values at
+        the two ends of that step over the grid spacing: every row holds
+        two entries, -1/h at the earlier vertex and +1/h at the later.
         """
         if self._grad_mats is None:
-            rows = np.repeat(np.arange(self.n_tets), 4)
-            cols = self.tet_dofs.ravel()
+            npt = self.nx + 1
+            steps = np.diff(self.tets, axis=1)
+            rows = np.arange(self.n_tets)[:, None]
+            indptr = np.arange(0, 2 * self.n_tets + 1, 2)
             mats = []
-            for comp in range(3):
-                g = sp.coo_matrix(
-                    (self.basis_grad[:, comp, :].ravel(), (rows, cols)),
-                    shape=(self.n_tets, self.n_dofs),
+            for stride, h in ((npt * npt, self.ht), (1, self.hx), (npt, self.hx)):
+                first = np.argmax(steps == stride, axis=1)[:, None]
+                cols = self.tet_dofs[rows, np.hstack([first, first + 1])]
+                vals = np.tile([-1.0 / h, 1.0 / h], self.n_tets)
+                mats.append(
+                    sp.csr_matrix(
+                        (vals, cols.ravel(), indptr), shape=(self.n_tets, self.n_dofs)
+                    )
                 )
-                mats.append(g.tocsr())
             self._grad_mats = tuple(mats)
         return self._grad_mats
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .exceptions import NonConvergence
+from .exceptions import NonConvergence, RootFindFailure
 
 SOURCE_KINDS = ("none", "l2l2", "l1l1", "l2huber")
 
@@ -50,8 +50,8 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"source kind must be one of {SOURCE_KINDS}, got {self.kind!r}")
-        if self.kind == "l2huber" and not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if self.kind == "l2huber" and not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
 
 
 def huber(s, beta):
@@ -108,9 +108,10 @@ def prox_source_l2huber(z, gamma, beta, slice_weights, grad_tol_factor=1e-15, ma
     where w are the spatial slice quadrature weights; the common 1/delta
     factor of penalty and metric cancels, so delta is not an argument.
     z is a P1 field whose slices are contiguous blocks of
-    len(slice_weights) values.  Raises NonConvergence when a slice
-    exceeds the iteration cap, which usually signals a step size gamma
-    too aggressive for the data scale.
+    len(slice_weights) values.  Raises RootFindFailure when z holds a
+    NaN or an infinity, and NonConvergence when a slice exceeds the
+    iteration cap, which usually signals a step size gamma too
+    aggressive for the data scale.
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
@@ -122,6 +123,8 @@ def prox_source_l2huber(z, gamma, beta, slice_weights, grad_tol_factor=1e-15, ma
         raise ValueError(
             f"field of size {z.size} does not split into slices of {w.size}"
         )
+    if not np.all(np.isfinite(z)):
+        raise RootFindFailure("non-finite input to the Huber source prox")
     if gamma == 0.0:
         return z.copy()
     nslices = z.size // w.size

@@ -52,23 +52,20 @@ class SolverConfig:
     alpha: float = 1.8
     max_iters: int = 5000
     fp_tol: float = 1e-5
-    cg_tol: float = 1e-9
     source: SourceModel = field(default_factory=SourceModel)
     bc: str = "neumann"
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (np.isfinite(self.fp_tol) and self.fp_tol >= 0):
             raise ValueError(f"fp_tol must be finite and nonnegative, got {self.fp_tol}")
-        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0):
-            raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
         if isinstance(self.source, str):
             self.source = SourceModel(kind=self.source)
 
@@ -173,7 +170,6 @@ def dr_step(state_aux, b, system, config, warm=None):
         state_aux,
         b,
         system,
-        tol=config.cg_tol,
         phi0=warm.phi if warm is not None else None,
         return_phi=True,
     )
@@ -231,7 +227,7 @@ def solve(bdata, config, progress=None):
     b = boundary_vector(mesh, bdata)
     endpoint_mass = float(np.sum(b))
     nodal = mesh.lumped_mass()
-    aux = project_continuity(initialize(mesh, bdata), b, system, tol=config.cg_tol)
+    aux = project_continuity(initialize(mesh, bdata), b, system)
     warm = _WarmStart()
     stats = []
     feasible = aux

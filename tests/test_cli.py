@@ -55,12 +55,12 @@ def test_bad_alpha_message_and_exit_1(flat_pair, capsys):
     assert "alpha must lie in (0, 2)" in capsys.readouterr().err
 
 
-def test_nan_cg_tol_exit_1(moving_pair, capsys):
+def test_inf_delta_exit_1(moving_pair, capsys):
     a, b = moving_pair
-    code = run_cli(["--a", a, "--b", b, *BASE, "--cg-tol", "nan"])
+    code = run_cli(["--a", a, "--b", b, *BASE, "--delta", "inf"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: cg_tol must be finite")
+    assert captured.err.startswith("error: delta must be finite")
     assert "iter" not in captured.out
 
 
@@ -166,7 +166,7 @@ def test_unknown_config_key_exit_1(flat_pair, tmp_path, capsys):
 
 def test_defaults_cover_every_flag():
     for key in ("nx", "nt", "delta", "gamma", "alpha", "iters", "fp_tol",
-                "source", "beta", "bc", "cg_tol", "scale", "out", "log_every"):
+                "source", "beta", "bc", "scale", "out", "log_every"):
         assert key in DEFAULTS
 
 

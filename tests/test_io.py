@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
 from otsource.assembly import BoundaryData
 from otsource.exceptions import EmptyImage, NegativeValue, UnsupportedFormat
@@ -293,6 +294,7 @@ def test_manifest_records_mesh_and_convergence(tiny_result, tmp_path):
     assert f"nx={tiny_result.mesh.nx}\n" in text
     assert f"nt={tiny_result.mesh.nt}\n" in text
     assert "converged=" in text and "wall_seconds=" in text
+    assert f"numpy={np.__version__}\n" in text and f"scipy={scipy.__version__}\n" in text
 
 
 def test_file_sha256_matches_hashlib(tmp_path):

@@ -85,6 +85,25 @@ def test_gradient_exact_for_affine():
     assert np.allclose(gy, 2.2, atol=1e-13)
 
 
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_gradient_matches_inverse_jacobian(bc):
+    # reference: the hat-function gradients of each element from the
+    # inverse of its edge matrix, as for an unstructured mesh
+    mesh = build_mesh(3, 2, bc=bc)
+    coords = mesh.vertices[mesh.tets]
+    edges = coords[:, 1:] - coords[:, :1]
+    inv = np.linalg.inv(edges)
+    basis = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
+    phi = np.random.default_rng(3).standard_normal(mesh.n_dofs)
+    expect = np.einsum("ecv,ev->ec", basis, phi[mesh.tet_dofs])
+    assert np.allclose(gradient_p1(mesh, phi), expect, rtol=0.0, atol=1e-12)
+    for g in mesh.gradient_matrices():
+        assert g.nnz == 2 * mesh.n_tets
+    vol = mesh.hx**2 * mesh.ht / 6.0
+    assert np.allclose(mesh.volumes, vol, rtol=1e-15, atol=0.0)
+    assert np.allclose(np.abs(np.linalg.det(edges)) / 6.0, vol, rtol=1e-13, atol=0.0)
+
+
 def test_gradient_of_time_coordinate():
     mesh = build_mesh(2, 4)
     g = gradient_p1(mesh, mesh.vertices[:, 0])

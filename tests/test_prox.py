@@ -4,7 +4,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from otsource._kernels import project_paraboloid
 from otsource.diagnostics import source_energy
-from otsource.exceptions import NonConvergence
+from otsource.exceptions import NonConvergence, RootFindFailure
 from otsource.mesh import build_mesh, spatial_slice_weights
 from otsource.prox import (
     SourceModel,
@@ -195,6 +195,15 @@ class TestSourceProxes:
     def test_huber_cap_raises(self):
         with pytest.raises(NonConvergence):
             prox_source_l2huber(np.array([100.0]), 50.0, 0.1, np.array([1.0]), maxit=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_huber_non_finite_raises(self, bad):
+        # rejected before the Newton loop: the cap of one step would
+        # otherwise surface as NonConvergence
+        z = np.ones(6)
+        z[4] = bad
+        with pytest.raises(RootFindFailure, match="non-finite"):
+            prox_source_l2huber(z, 1.0, 0.1, np.full(3, 1.0 / 3.0), maxit=1)
 
 
 def _bisection_slices_argmin(zs, w, gamma, beta):

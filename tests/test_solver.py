@@ -44,9 +44,13 @@ def test_config_validation():
     for value in (-1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="fp_tol"):
             SolverConfig(fp_tol=value)
-    for value in (0.0, -1e-9, np.nan, np.inf):
-        with pytest.raises(ValueError, match="cg_tol"):
-            SolverConfig(cg_tol=value)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            SolverConfig(delta=value)
+        with pytest.raises(ValueError, match="gamma"):
+            SolverConfig(gamma=value)
+        with pytest.raises(ValueError, match="beta"):
+            SourceModel("l2huber", beta=value)
 
 
 def test_config_accepts_source_kind_string():
