@@ -205,12 +205,11 @@ class SpaceTimeMesh:
         if self._grad_mats is None:
             npt = self.nx + 1
             steps = np.diff(self.tets, axis=1)
-            rows = np.arange(self.n_tets)[:, None]
             indptr = np.arange(0, 2 * self.n_tets + 1, 2)
             mats = []
             for stride, h in ((npt * npt, self.ht), (1, self.hx), (npt, self.hx)):
                 first = np.argmax(steps == stride, axis=1)[:, None]
-                cols = self.tet_dofs[rows, np.hstack([first, first + 1])]
+                cols = np.take_along_axis(self.tet_dofs, first + [0, 1], axis=1)
                 vals = np.tile([-1.0 / h, 1.0 / h], self.n_tets)
                 mats.append(
                     sp.csr_matrix(
