@@ -115,9 +115,6 @@ def run_cli(argv=None):
     if not opts["a"] or not opts["b"]:
         print("error: --a and --b input densities are required", file=sys.stderr)
         return 1
-    if not 0.0 < opts["alpha"] < 2.0:
-        print(f"error: alpha must lie in (0, 2), got {opts['alpha']}", file=sys.stderr)
-        return 1
     if opts["source"] == "l1l1":
         print(
             "warning: the l1l1 source model is exploratory; time profiles "

@@ -21,7 +21,7 @@ import os
 import numpy as np
 import scipy
 
-from .diagnostics import time_profiles
+from .diagnostics import time_profiles, transport_energy
 from .exceptions import EmptyImage, NegativeValue, UnsupportedFormat
 
 PGM_MAXVAL_LIMIT = 65535
@@ -269,7 +269,10 @@ def write_outputs(result, outdir, manifest=None):
     is recorded in the manifest, and each frame also gets a raw CSV for
     quantitative use.  The manifest is written first so that partially
     written runs remain attributable; on a write failure it is rewritten
-    with partial=true before the error propagates.
+    with partial=true before the error propagates.  The manifest also
+    records the infeasible volume of the returned state, as
+    diagnostics.transport_energy counts it, so a run that stops at the
+    cap with negative density or momentum over vacuum says so.
     """
     os.makedirs(outdir, exist_ok=True)
     mesh = result.mesh
@@ -288,6 +291,7 @@ def write_outputs(result, outdir, manifest=None):
     manifest.add("bc", mesh.bc)
     manifest.add("iterations", len(result.stats))
     manifest.add("converged", str(result.converged).lower())
+    manifest.add("infeasible_volume", _fmt(transport_energy(result.state, mesh)[1]))
     manifest.add("wall_seconds", _fmt(result.wall_seconds))
     manifest.add("frame_norm_rho", _fmt(norm_rho))
     manifest.add("frame_norm_mom", _fmt(norm_mom))

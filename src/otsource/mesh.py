@@ -174,7 +174,6 @@ class SpaceTimeMesh:
             self.nsp = nx * nx
             gi, gj = np.meshgrid(np.arange(npt), np.arange(npt), indexing="xy")
             sdof = ((gj.ravel() % nx) * nx + (gi.ravel() % nx)).astype(np.int64)
-        self._sdof = sdof
         self.n_dofs = self.nsp * (nt + 1)
         slab_of_vert, local = np.divmod(self.tets, pslice)
         self.tet_dofs = slab_of_vert * self.nsp + sdof[local]
@@ -220,14 +219,20 @@ class SpaceTimeMesh:
         return self._grad_mats
 
     def stiffness_matrix(self):
-        """P1 stiffness matrix for the full space-time gradient."""
+        """P1 stiffness matrix for the full space-time gradient.
+
+        The sum of vol G^T G over the three components, exactly
+        symmetric as assembled: each entry of one component's product
+        sums identical terms (vol/h^2 on the diagonal, -vol/h^2 off
+        it), so (i, j) and (j, i) round alike in any summation order.
+        """
         if self._stiffness is None:
             gt, gx, gy = self.gradient_matrices()
             k = None
             for g in (gt, gx, gy):
                 part = g.T @ g.multiply(self.volumes[:, None])
                 k = part if k is None else k + part
-            self._stiffness = 0.5 * (k + k.T)
+            self._stiffness = k
         return self._stiffness
 
     def lumped_mass(self):

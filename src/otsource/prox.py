@@ -66,9 +66,12 @@ def huber(s, beta):
 def prox_transport(rho, m, gamma):
     """Proximal map of the transport energy, elementwise over tetrahedra.
 
-    Input and output are (n,) density values and (n, 2) momenta.  The
-    map never leaves (rho, m) with rho < -gamma * small: outputs with
-    rho > 0 get |m|^2 <= 4 rho-feasible structure through the projection.
+    Input and output are (n,) density values and (n, 2) momenta.  With
+    (a*, b*) the projection of (rho, m) / gamma onto K and lam >= 0 its
+    multiplier, the output is rho = gamma lam >= 0 and m = rho b*/2, up
+    to rounding, so |m|^2 / rho = rho |b*|^2 / 4 is finite and vacuum
+    carries no momentum.  Inputs already in gamma K, those with
+    rho + |m|^2 / (4 gamma) <= 0, map to (0, 0) up to rounding.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")

@@ -11,7 +11,10 @@ and converges for every gamma > 0 and alpha in (0, 2).  (q, w) is the
 feasible iterate: mass diagnostics and the returned solution are read
 from it, while the energy trace is evaluated on the F1 prox image,
 whose (rho, m) pairs carry the exact cone structure of the transport
-integrand and therefore give a stable value near vacuum.  The
+integrand and therefore give a stable value near vacuum.  Each
+quantity is computed once per iteration: one projection, one prox,
+one transport and one source energy.  The projection potential phi of
+one iteration is the start of the next one's CG solve.  The
 fixed-point residual is the weighted-norm distance between the two
 proximal points, |prox_{gamma F1}(2q - p) - q|, which vanishes at a
 solution; iteration stops when it falls below fp_tol times its first
@@ -74,8 +77,8 @@ class SolverConfig:
 class IterationStats:
     """Per-iteration trace.
 
-    Energies are evaluated on the F1 prox image, mass-balance defect
-    and infeasible volume on the projected (feasible) iterate.
+    Energies are evaluated on the F1 prox image, the mass-balance
+    defect on the projected (feasible) iterate.
     """
 
     iteration: int
@@ -84,7 +87,6 @@ class IterationStats:
     transport_energy: float
     source_energy: float
     mass_balance_defect: float
-    infeasible_volume: float
 
 
 @dataclass
@@ -128,13 +130,6 @@ def initialize(mesh, bdata):
     return State(rho, m, z)
 
 
-class _WarmStart:
-    """Mutable carrier for the projection potential."""
-
-    def __init__(self):
-        self.phi = None
-
-
 def _prox_f1(state, config, mesh):
     """Joint proximal map of transport and source terms (they separate)."""
     rho, m = prox_transport(state.rho, state.m, config.gamma)
@@ -155,41 +150,32 @@ def _prox_f1(state, config, mesh):
     return State(rho, m, z)
 
 
-def dr_step(state_aux, b, system, config, warm=None):
+def dr_step(state_aux, b, system, config, phi0=None):
     """One Douglas-Rachford iteration.
 
-    b is the boundary_vector of the endpoint data.  Returns
-    (state_aux_next, feasible, prox_image, residual): feasible is the
-    projected iterate, prox_image the output of the F1 prox at the
-    reflected point, residual the weighted-norm distance between the
-    two.  warm, when given, carries the previous projection potential
-    across calls.
+    b is the boundary_vector of the endpoint data and phi0, when given,
+    the start of the projection's CG solve.  Returns (state_aux_next,
+    feasible, prox_image, residual, phi): feasible is the projected
+    iterate, prox_image the output of the F1 prox at the reflected
+    point, residual the weighted-norm distance between the two and phi
+    the projection potential, the natural phi0 of the next call.
     """
     mesh = system.mesh
-    q, phi = project_continuity(
-        state_aux,
-        b,
-        system,
-        phi0=warm.phi if warm is not None else None,
-        return_phi=True,
-    )
-    if warm is not None:
-        warm.phi = phi
+    q, phi = project_continuity(state_aux, b, system, phi0=phi0, return_phi=True)
     reflected = State(
         2.0 * q.rho - state_aux.rho,
         2.0 * q.m - state_aux.m,
         2.0 * q.z - state_aux.z,
     )
     y = _prox_f1(reflected, config, mesh)
-    residual = weighted_norm(
-        y.rho - q.rho, y.m - q.m, y.z - q.z, mesh, config.delta
-    )
+    drho, dm, dz = y.rho - q.rho, y.m - q.m, y.z - q.z
+    residual = weighted_norm(drho, dm, dz, mesh, config.delta)
     state_next = State(
-        state_aux.rho + config.alpha * (y.rho - q.rho),
-        state_aux.m + config.alpha * (y.m - q.m),
-        state_aux.z + config.alpha * (y.z - q.z),
+        state_aux.rho + config.alpha * drho,
+        state_aux.m + config.alpha * dm,
+        state_aux.z + config.alpha * dz,
     )
-    return state_next, q, y, residual
+    return state_next, q, y, residual, phi
 
 
 def solve(bdata, config, progress=None):
@@ -228,13 +214,13 @@ def solve(bdata, config, progress=None):
     endpoint_mass = float(np.sum(b))
     nodal = mesh.lumped_mass()
     aux = project_continuity(initialize(mesh, bdata), b, system)
-    warm = _WarmStart()
+    phi = None
     stats = []
     feasible = aux
     converged = False
     threshold = None
     for it in range(1, config.max_iters + 1):
-        aux, feasible, image, residual = dr_step(aux, b, system, config, warm=warm)
+        aux, feasible, image, residual, phi = dr_step(aux, b, system, config, phi)
         if not np.isfinite(residual):
             raise NonConvergence(
                 f"DR fixed-point residual is not finite at iteration {it}", it, residual
@@ -245,7 +231,6 @@ def solve(bdata, config, progress=None):
         # value jump by percents between consecutive iterations
         transport, _ = transport_energy(image, mesh)
         source = source_energy(image.z, config.source, config.delta, mesh)
-        _, bad_vol = transport_energy(feasible, mesh)
         entry = IterationStats(
             iteration=it,
             fixed_point_residual=residual,
@@ -253,7 +238,6 @@ def solve(bdata, config, progress=None):
             transport_energy=transport,
             source_energy=source,
             mass_balance_defect=abs(endpoint_mass - float(nodal @ feasible.z)),
-            infeasible_volume=bad_vol,
         )
         stats.append(entry)
         if progress is not None:

@@ -9,6 +9,8 @@ from otsource import _kernels
 from otsource.cli import DEFAULTS, run_cli
 from otsource.exceptions import RootFindFailure
 from otsource.io import file_sha256, read_pgm
+from otsource.prox import SourceModel
+from otsource.solver import SolverConfig
 
 
 def _csv(path, grid):
@@ -168,6 +170,21 @@ def test_defaults_cover_every_flag():
     for key in ("nx", "nt", "delta", "gamma", "alpha", "iters", "fp_tol",
                 "source", "beta", "bc", "scale", "out", "log_every"):
         assert key in DEFAULTS
+
+
+def test_defaults_match_library_defaults():
+    # the CLI keeps its own copy of the solver defaults; it must agree
+    # with SolverConfig and SourceModel
+    config, source = SolverConfig(), SourceModel()
+    assert DEFAULTS["nt"] == config.nt
+    assert DEFAULTS["delta"] == config.delta
+    assert DEFAULTS["gamma"] == config.gamma
+    assert DEFAULTS["alpha"] == config.alpha
+    assert DEFAULTS["iters"] == config.max_iters
+    assert DEFAULTS["fp_tol"] == config.fp_tol
+    assert DEFAULTS["bc"] == config.bc
+    assert DEFAULTS["source"] == source.kind == config.source.kind
+    assert DEFAULTS["beta"] == source.beta == config.source.beta
 
 
 # ---------------------------------------------------------------- outputs

@@ -1,5 +1,6 @@
 """Input parsing, resampling, and output-file behavior."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -17,6 +18,7 @@ from otsource.io import (
     write_outputs,
     write_pgm,
 )
+from otsource.mesh import State
 from otsource.prox import SourceModel
 from otsource.solver import SolverConfig, solve
 
@@ -295,6 +297,19 @@ def test_manifest_records_mesh_and_convergence(tiny_result, tmp_path):
     assert f"nt={tiny_result.mesh.nt}\n" in text
     assert "converged=" in text and "wall_seconds=" in text
     assert f"numpy={np.__version__}\n" in text and f"scipy={scipy.__version__}\n" in text
+    # the returned state of this run is feasible
+    assert "\ninfeasible_volume=0\n" in text
+    # the line reads the returned state: negative density in two
+    # elements is their volume
+    rho = tiny_result.state.rho.copy()
+    rho[[0, 5]] = -1.0
+    bad = dataclasses.replace(
+        tiny_result, state=State(rho, tiny_result.state.m, tiny_result.state.z)
+    )
+    write_outputs(bad, str(tmp_path / "bad"))
+    text = (tmp_path / "bad" / "manifest.txt").read_text()
+    expected = tiny_result.mesh.volumes[0] + tiny_result.mesh.volumes[5]
+    assert f"\ninfeasible_volume={format(expected, '.17g')}\n" in text
 
 
 def test_file_sha256_matches_hashlib(tmp_path):

@@ -183,6 +183,8 @@ def test_stiffness_annihilates_constants():
         K = mesh.stiffness_matrix()
         r = K @ np.ones(mesh.n_dofs)
         assert np.max(np.abs(r)) < 1e-14
+        # exactly symmetric as assembled, with no symmetrization step
+        assert (K != K.T).nnz == 0
 
 
 def test_slice_dofs_shape_and_range():

@@ -7,6 +7,7 @@ from otsource.assembly import (
     assemble_system,
     boundary_vector,
     continuity_defect,
+    project_continuity,
 )
 from otsource.diagnostics import source_energy, transport_energy
 from otsource.exceptions import NonConvergence
@@ -130,7 +131,7 @@ def test_dr_step_zero_state_is_fixed_point():
     aux = State(
         np.zeros(mesh.n_tets), np.zeros((mesh.n_tets, 2)), np.zeros(mesh.n_dofs)
     )
-    aux2, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
+    aux2, feasible, image, residual, _ = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     assert residual == 0.0
     for out in (aux2, feasible, image):
         assert np.all(out.rho == 0.0)
@@ -148,7 +149,7 @@ def test_dr_step_stationary_pair_is_fixed_point():
     bdata = BoundaryData(bdata.ua, bdata.ua.copy())
     cfg = SolverConfig(nt=2, source=SourceModel("none"))
     aux = initialize(mesh, bdata)
-    aux2, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
+    aux2, feasible, image, residual, _ = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     assert residual <= 1e-10
     assert np.allclose(aux2.rho, aux.rho, atol=1e-10)
     assert np.allclose(feasible.rho, aux.rho, atol=1e-10)
@@ -162,7 +163,7 @@ def test_dr_step_feasible_iterate_satisfies_continuity():
     cfg = SolverConfig(nt=2, source=SourceModel("l2l2"))
     aux = initialize(mesh, bdata)
     for _ in range(3):
-        aux, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
+        aux, feasible, image, residual, _ = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
         defect = continuity_defect(feasible, boundary_vector(mesh, bdata), mesh)
         assert np.linalg.norm(defect) <= 1e-8
 
@@ -176,7 +177,7 @@ def test_dr_step_update_algebra():
     alpha = 1.3
     cfg = SolverConfig(nt=2, alpha=alpha, source=SourceModel("l2l2"))
     aux = initialize(mesh, bdata)
-    aux2, feasible, image, _ = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
+    aux2, feasible, image, _, _ = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     assert np.allclose(aux2.rho - aux.rho, alpha * (image.rho - feasible.rho))
     assert np.allclose(aux2.m - aux.m, alpha * (image.m - feasible.m))
     assert np.allclose(aux2.z - aux.z, alpha * (image.z - feasible.z))
@@ -190,7 +191,7 @@ def test_dr_step_residual_is_weighted_distance():
     bdata = _random_bdata(nx, seed=5)
     cfg = SolverConfig(nt=2, delta=delta, source=SourceModel("l2l2"))
     aux = initialize(mesh, bdata)
-    _, feasible, image, residual = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
+    _, feasible, image, residual, _ = dr_step(aux, boundary_vector(mesh, bdata), system, cfg)
     expected = weighted_norm(
         image.rho - feasible.rho,
         image.m - feasible.m,
@@ -199,6 +200,23 @@ def test_dr_step_residual_is_weighted_distance():
         delta,
     )
     assert residual == pytest.approx(expected, rel=1e-14)
+
+
+def test_dr_step_returns_potential_for_the_next_projection():
+    # phi is the CG solution of the step's projection: passed back as
+    # phi0 it starts the same solve at its answer
+    nx = 3
+    mesh = build_mesh(nx, 2)
+    system = assemble_system(mesh, 1.0)
+    bdata = _random_bdata(nx, seed=15)
+    b = boundary_vector(mesh, bdata)
+    cfg = SolverConfig(nt=2, source=SourceModel("l2l2"))
+    aux = initialize(mesh, bdata)
+    _, feasible, _, _, phi = dr_step(aux, b, system, cfg)
+    assert phi.shape == (mesh.n_dofs,)
+    again, phi_again = project_continuity(aux, b, system, phi0=phi, return_phi=True)
+    assert np.allclose(phi_again, phi, rtol=0.0, atol=1e-9 * np.max(np.abs(phi)))
+    assert np.allclose(again.rho, feasible.rho, rtol=0.0, atol=1e-9)
 
 
 # ----------------------------------------------------------------- solve
@@ -265,6 +283,40 @@ def test_solve_stops_on_non_finite_residual(monkeypatch):
         solve(_random_bdata(4, seed=8), cfg, progress=seen.append)
     assert info.value.iterations == 1
     assert seen == []
+
+
+def test_solve_evaluates_transport_energy_once_per_iteration(monkeypatch):
+    calls = []
+
+    def counted(state, mesh):
+        calls.append(state)
+        return transport_energy(state, mesh)
+
+    monkeypatch.setattr(solver_module, "transport_energy", counted)
+    cfg = SolverConfig(nt=3, max_iters=7, fp_tol=0.0, source=SourceModel("l2huber"))
+    result = solve(_random_bdata(4, seed=16), cfg)
+    assert len(result.stats) == 7
+    assert len(calls) == 7
+
+
+def test_solve_starts_each_projection_from_the_last_potential(monkeypatch):
+    seen = []
+
+    def recorded(state, b, system, tol=1e-9, phi0=None, return_phi=False):
+        out = project_continuity(state, b, system, tol=tol, phi0=phi0,
+                                 return_phi=return_phi)
+        seen.append((phi0, out[1] if return_phi else None))
+        return out
+
+    monkeypatch.setattr(solver_module, "project_continuity", recorded)
+    cfg = SolverConfig(nt=3, max_iters=5, fp_tol=0.0, source=SourceModel("l2l2"))
+    solve(_random_bdata(4, seed=17), cfg)
+    # the initial projection, then one per iteration; the first DR
+    # projection starts cold, every later one from its predecessor's phi
+    assert len(seen) == 6
+    assert seen[0] == (None, None) and seen[1][0] is None
+    for (_, phi), (phi0, _) in zip(seen[1:], seen[2:]):
+        assert phi0 is phi
 
 
 def test_solve_trace_is_complete_and_finite():
