@@ -24,14 +24,20 @@ followed by the explicit updates rho += grad_t phi / 2,
 m += grad_xy phi / 2, z += delta phi / 2.  K is the space-time
 stiffness matrix, exact for P1 integrands.
 
-On the structured mesh that system is close to a tensor product of
+On the structured mesh that system is close to a tensor product P of
 1-D P1 operators, K a 7-point stencil and ell a product of 1-D lumped
-masses.  The exact inverse of that model, in the DCT-I basis in time
-and, in space, the DCT-I basis for Neumann or the Fourier basis for
-periodic boundaries, preconditions the CG solve.
+masses.  P is inverted exactly in the DCT-I basis in time and, in
+space, the DCT-I basis for Neumann or the Fourier basis for periodic
+boundaries.  With periodic boundaries P is the system itself; with
+Neumann boundaries the two differ only on the edge nodes of the
+space-time box, and a capacitance matrix on those nodes, built once per
+system, turns two applications of P^(-1) into the exact solve.  No
+iteration runs inside the projection.  cg_solve, preconditioned by
+P^(-1), remains for checks against the assembled matrix.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,34 +64,215 @@ class BoundaryData:
             raise ValueError("endpoint densities must be nonnegative")
 
 
-@dataclass
 class SparseSystem:
-    """Assembled projection operator together with its preconditioner.
+    """The projection operator A = 1/2 K + delta/2 diag(ell), solved exactly.
 
-    precond maps a residual to the solution of the tensor-product model
-    of the operator (see SpectralPreconditioner).
+    precond applies the inverse of the tensor-product model P of A (see
+    SpectralPreconditioner).  A and P differ only on the edge nodes
+    (see edge_nodes), so by the capacitance-matrix method of Buzbee,
+    Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971) the exact
+    inverse of A is P^(-1) corrected by one small dense matrix, built
+    here once from W = (P^(-1))_EE (_model_inverse_on_edges) and
+    C = (A - P)_EE (_edge_correction).  matrix, the assembled sparse A,
+    is only built when read.
     """
 
-    matrix: object
-    precond: object
-    delta: float
-    mesh: object
+    def __init__(self, mesh, delta):
+        self.mesh = mesh
+        self.delta = float(delta)
+        self.precond = SpectralPreconditioner(mesh, delta)
+        self.edges = edge_nodes(mesh)
+        if self.edges.size:
+            w = _model_inverse_on_edges(mesh, self.precond, self.edges)
+            c = _edge_correction(mesh, delta, self.edges)
+            # (I + C W)^(-1) C, the map from y_E to w in solve
+            eye = np.eye(self.edges.size)
+            self._capacitance = np.linalg.solve(eye + c @ w, c.toarray())
+
+    @cached_property
+    def matrix(self):
+        """The assembled CSR matrix of A, built on first use."""
+        a = 0.5 * self.mesh.stiffness_matrix()
+        return (a + (0.5 * self.delta) * sp.diags(self.mesh.lumped_mass())).tocsr()
+
+    def solve(self, f):
+        """The solution x of A x = f, exact up to rounding.
+
+        With y = P^(-1) f, U the columns of the identity at the edge
+        nodes E, W = (P^(-1))_EE and C = (A - P)_EE, Woodbury's
+        identity gives x = y - P^(-1) U w with w = (I + C W)^(-1) C y_E.
+        """
+        y = self.precond(f)
+        if self.edges.size:
+            u = np.zeros_like(y)
+            u[self.edges] = self._capacitance @ y[self.edges]
+            y -= self.precond(u)
+        return y
 
 
 def assemble_system(mesh, delta):
-    """Build 1/2 K + delta/2 diag(ell) for the given mesh.
+    """Build the projection operator 1/2 K + delta/2 diag(ell) for the mesh.
 
     The result is symmetric by construction (the defect max|A - A^T| is
     exactly zero) and positive definite for delta > 0.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    a = 0.5 * mesh.stiffness_matrix() + (0.5 * delta) * sp.diags(mesh.lumped_mass())
-    return SparseSystem(
-        matrix=a.tocsr(),
-        precond=SpectralPreconditioner(mesh, delta),
-        delta=float(delta),
-        mesh=mesh,
+    return SparseSystem(mesh, delta)
+
+
+def edge_nodes(mesh):
+    """Nodes where the projection operator departs from its model.
+
+    These are the nodes on the edges of the space-time box where a
+    Neumann side of the square meets another side or an end of the time
+    interval, that is, where two of the three grid indices sit at an
+    end.  With periodic boundaries there are none.  The order is the
+    perimeter of the first time slice, the perimeter of the last, then
+    the four corners of each inner slice.
+    """
+    side = _side_points(mesh.nx)
+    blocks = [
+        (times[:, None] * mesh.nsp + side[points][None, :]).ravel()
+        for times, points in _edge_blocks(mesh)
+    ]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+
+
+def _side_points(n):
+    """Spatial dofs of the points on the four sides of the Neumann square.
+
+    Sides 0 and 1 are y = 0 and y = 1 (free index x), sides 2 and 3 are
+    x = 0 and x = 1 (free index y), each with its n+1 points in order,
+    so every corner appears twice.
+    """
+    ns = n + 1
+    x = np.arange(ns)
+    return np.concatenate([x, n * ns + x, x * ns, x * ns + n])
+
+
+def _edge_blocks(mesh):
+    """The edge nodes as products (time indices) x (side points).
+
+    The perimeter at both time ends, then the corners at the inner time
+    nodes; side points index the list of _side_points, taking each
+    corner from side 0 or 1.
+    """
+    if mesh.bc == "periodic":
+        return []
+    n, ns, nt = mesh.nx, mesh.nx + 1, mesh.nt
+    perimeter = np.r_[0 : 2 * ns, 2 * ns + 1 : 3 * ns - 1, 3 * ns + 1 : 4 * ns - 1]
+    corners = np.array([0, n, ns, ns + n])
+    return [(np.array([0, nt]), perimeter), (np.arange(1, nt), corners)]
+
+
+def _model_inverse_on_edges(mesh, precond, edges):
+    """W = (P^(-1))_EE in closed form, in edge_nodes' order.
+
+    W[e, f] = s_e s_f sum_a qt[k_e, a] qt[k_f, a] g[a, p_e, p_f], with
+    s the diagonal scaling of P^(-1), k the time index and p the side
+    point of a node and g the spatial part (_model_inverse_on_sides).
+    It is built block by block of edge_nodes' products, so no array of
+    size |E|^2 (nt+1) appears.
+    """
+    g = _model_inverse_on_sides(precond, mesh.nx)
+    qt = precond.qt
+    blocks = _edge_blocks(mesh)
+    w = np.block(
+        [
+            [
+                np.tensordot(qt[kr][:, None] * qt[kc][None], g[:, pr][:, :, pc], 1)
+                .transpose(0, 2, 1, 3)
+                .reshape(kr.size * pr.size, kc.size * pc.size)
+                for kc, pc in blocks
+            ]
+            for kr, pr in blocks
+        ]
+    )
+    scale = precond.scale[edges]
+    return scale[:, None] * w * scale[None, :]
+
+
+def _model_inverse_on_sides(precond, n):
+    """Spatial part of P^(-1) between the points of the square's sides.
+
+    Returns g of shape (nt+1, 4(n+1), 4(n+1)), indexed like
+    _side_points, with g[a, p, q] = sum_bc qs[j_p, b] qs[i_p, c]
+    qs[j_q, b] qs[i_q, c] / D[a, b, c] for the time eigenvalue a.  One
+    index of each point sits at an end, so each block of two sides is a
+    product qs X qs^T: diagonal X for parallel sides, a scaled D for
+    perpendicular ones (D is symmetric in b and c).
+    """
+    qs, dinv = precond.qs, precond.inv_eig
+    ns = n + 1
+    qe = qs[[0, -1]]
+    # parallel[f, g, a] pairs the side at end f with the side at end g
+    # of the same orientation
+    d = np.tensordot(qe[:, None, :] * qe[None, :, :], dinv, axes=([2], [1]))
+    parallel = (qs * d[..., None, :]) @ qs.T
+    # across[f, g, a] pairs (y = end f, x free) with (x = end g, y free)
+    across = qs @ (qe[None, :, None, :, None] * dinv * qe[:, None, None, None]) @ qs.T
+    nt1 = dinv.shape[0]
+    same = parallel.transpose(2, 0, 3, 1, 4).reshape(nt1, 2 * ns, 2 * ns)
+    cross = across.transpose(2, 0, 3, 1, 4).reshape(nt1, 2 * ns, 2 * ns)
+    return np.block([[same, cross], [cross.transpose(0, 2, 1), same]])
+
+
+def _edge_correction(mesh, delta, edges):
+    """C = (A - P)_EE as a sparse matrix.
+
+    Both operators are weighted graph Laplacians on the grid edges plus
+    a diagonal mass: A's edge weights are the vol/h^2 of every
+    tetrahedron whose Kuhn path steps along that edge, P's are the
+    tensor-product stencil's, 1/h along the edge times the lumped
+    masses across it.  Inside E, C collects the difference on the grid
+    edges with both ends in E and the difference of the masses.
+    """
+    n, nt = mesh.nx, mesh.nt
+    ns = n + 1
+    ne = edges.size
+    loc = np.full(mesh.n_dofs, -1)
+    loc[edges] = np.arange(ne)
+
+    # A: the Kuhn steps with both ends in E, among the tetrahedra over
+    # the spatial triangles that touch the sides of the square
+    on_side = np.zeros(mesh.nsp, dtype=bool)
+    on_side[_side_points(n)] = True
+    near = np.flatnonzero(on_side[mesh.tri_sdofs].any(axis=1)[mesh.tet_tri])
+    ends = loc[mesh.tet_dofs[near]]
+    tet, step = np.nonzero((ends[:, :-1] >= 0) & (ends[:, 1:] >= 0))
+    along_t = np.diff(mesh.tets[near], axis=1)[tet, step] == mesh.nsp
+    vol = mesh.volumes[0]
+    us, vs = [ends[tet, step]], [ends[tet, step + 1]]
+    ws = [np.where(along_t, vol / mesh.ht**2, vol / mesh.hx**2)]
+
+    # P: the stencil's grid edges with both ends in E
+    mt = mesh.time_weights()
+    mx = np.full(ns, mesh.hx)
+    mx[[0, -1]] *= 0.5
+    k, j, i = np.unravel_index(edges, (nt + 1, ns, ns))
+    for stride, coord, top, weight in (
+        (mesh.nsp, k, nt, mx[j] * mx[i] / mesh.ht),
+        (ns, j, n, mt[k] * mx[i] / mesh.hx),
+        (1, i, n, mt[k] * mx[j] / mesh.hx),
+    ):
+        inner = coord < top
+        nb = np.full(ne, -1)
+        nb[inner] = loc[edges[inner] + stride]
+        keep = nb >= 0
+        us.append(np.flatnonzero(keep))
+        vs.append(nb[keep])
+        ws.append(-weight[keep])
+
+    u, v, w = np.concatenate(us), np.concatenate(vs), 0.5 * np.concatenate(ws)
+    mass = 0.5 * delta * (mesh.lumped_mass()[edges] - mt[k] * mx[j] * mx[i])
+    ids = np.arange(ne)
+    return sp.csr_matrix(
+        (
+            np.concatenate([w, w, -w, -w, mass]),
+            (np.concatenate([u, v, u, v, ids]), np.concatenate([u, v, v, u, ids])),
+        ),
+        shape=(ne, ne),
     )
 
 
@@ -120,13 +307,13 @@ class SpectralPreconditioner:
         P = 1/2 (Kt x My x Mx + Mt x Ky x Mx + Mt x My x Kx)
             + delta/2 Mt x My x Mx,
 
-    which equals the assembled operator except in the rows of nodes
-    where a Neumann side of the square meets another side or an end
-    of the time interval; with periodic boundaries it is exact.  With
-    M = Mt x My x Mx and Q = Qt x Qy x Qx the 1-D eigenbases of
-    _axis_basis, P^(-1) = M^(-1/2) Q D^(-1) Q^T M^(-1/2), where
-    D = 1/2 (lam_t + lam_y + lam_x) + delta/2.  P is symmetric positive
-    definite, so CG keeps its guarantees.
+    which equals the assembled operator except in the rows and columns
+    of the edge nodes (edge_nodes); with periodic boundaries it is
+    exact.  With M = Mt x My x Mx and Q = Qt x Qy x Qx the 1-D
+    eigenbases of _axis_basis, P^(-1) = M^(-1/2) Q D^(-1) Q^T M^(-1/2),
+    where D = 1/2 (lam_t + lam_y + lam_x) + delta/2.  P is symmetric
+    positive definite, so as a CG preconditioner it keeps CG's
+    guarantees.
 
     The 1-D transforms are applied as dense matrix products along each
     axis: at axis lengths up to 129 nodes that is faster than
@@ -187,9 +374,10 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, x0=None, callback=None):
     """Conjugate gradients preconditioned by system.precond.
 
     Stops when |A x - rhs| <= tol * |rhs|; raises NonConvergence past
-    maxit (default 10 * sqrt(n) + 500).  x0 warm-starts the iteration,
-    which the outer solver exploits because consecutive projections
-    change slowly.
+    maxit (default 10 * sqrt(n) + 500).  x0 is the starting point
+    (zero by default).  The projection does not use it: SparseSystem.
+    solve is exact.  It is kept as an independent check of the
+    assembled matrix and of the preconditioner.
     """
     a = system.matrix
     precond = system.precond
@@ -229,20 +417,20 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, x0=None, callback=None):
     )
 
 
-def project_continuity(state, b, system, tol=1e-9, phi0=None, return_phi=False):
+def project_continuity(state, b, system, return_phi=False):
     """Orthogonal projection onto the continuity constraint set.
 
     b is the boundary_vector of the endpoint data, built once per solve.
-    Solves the SPD potential system, then applies the explicit update.
-    The output tested against psi = 1 reproduces the mass balance
-    identity exactly: after the linear solve, z is shifted by the
-    constant that zeroes this row, a correction within solver tolerance
-    that keeps the reported mass defect at rounding level on every
-    projected iterate.
+    Solves the SPD potential system exactly (SparseSystem.solve), then
+    applies the explicit update.  The output tested against psi = 1
+    reproduces the mass balance identity exactly: after the linear
+    solve, z is shifted by the constant that zeroes this row, a
+    correction at rounding level that keeps the reported mass defect
+    at rounding level on every projected iterate.  With return_phi the
+    potential phi is returned too.
     """
     mesh = system.mesh
-    rhs = -continuity_defect(state, b, mesh)
-    phi = cg_solve(system, rhs, tol=tol, x0=phi0)
+    phi = system.solve(-continuity_defect(state, b, mesh))
     g = gradient_p1(mesh, phi)
     rho = state.rho + 0.5 * g[:, 0]
     m = state.m + 0.5 * g[:, 1:]

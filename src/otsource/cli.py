@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .assembly import BoundaryData
+from .diagnostics import transport_energy
 from .exceptions import NonConvergence, RootFindFailure
 from .io import RunManifest, file_sha256, load_density, write_outputs
 from .prox import SOURCE_KINDS, SourceModel
@@ -175,10 +176,14 @@ def run_cli(argv=None):
             return 1
 
     last = result.stats[-1]
+    # the returned state may hold negative density or momentum over
+    # vacuum; say how much, as the manifest does
+    infeasible = transport_energy(result.state, result.mesh)[1]
     print(
         f"{'converged' if result.converged else 'iteration cap reached'} "
         f"after {last.iteration} iterations: energy {last.energy:.9e} "
-        f"(transport {last.transport_energy:.3e}, source {last.source_energy:.3e})"
+        f"(transport {last.transport_energy:.3e}, source {last.source_energy:.3e}), "
+        f"infeasible volume {infeasible:.3e}"
     )
     return 0 if result.converged else 2
 

@@ -13,8 +13,9 @@ from it, while the energy trace is evaluated on the F1 prox image,
 whose (rho, m) pairs carry the exact cone structure of the transport
 integrand and therefore give a stable value near vacuum.  Each
 quantity is computed once per iteration: one projection, one prox,
-one transport and one source energy.  The projection potential phi of
-one iteration is the start of the next one's CG solve.  The
+one transport and one source energy.  The projection solves its
+potential system exactly, by a spectral solve with a capacitance
+correction (assembly.SparseSystem), with no inner iteration.  The
 fixed-point residual is the weighted-norm distance between the two
 proximal points, |prox_{gamma F1}(2q - p) - q|, which vanishes at a
 solution; iteration stops when it falls below fp_tol times its first
@@ -150,18 +151,18 @@ def _prox_f1(state, config, mesh):
     return State(rho, m, z)
 
 
-def dr_step(state_aux, b, system, config, phi0=None):
+def dr_step(state_aux, b, system, config):
     """One Douglas-Rachford iteration.
 
-    b is the boundary_vector of the endpoint data and phi0, when given,
-    the start of the projection's CG solve.  Returns (state_aux_next,
-    feasible, prox_image, residual, phi): feasible is the projected
-    iterate, prox_image the output of the F1 prox at the reflected
-    point, residual the weighted-norm distance between the two and phi
-    the projection potential, the natural phi0 of the next call.
+    b is the boundary_vector of the endpoint data.  Returns
+    (state_aux_next, feasible, prox_image, residual, phi): feasible is
+    the projected iterate, prox_image the output of the F1 prox at the
+    reflected point, residual the weighted-norm distance between the
+    two and phi the projection potential, the solution of
+    A phi = -defect(state_aux) (a dual variable of the constraint).
     """
     mesh = system.mesh
-    q, phi = project_continuity(state_aux, b, system, phi0=phi0, return_phi=True)
+    q, phi = project_continuity(state_aux, b, system, return_phi=True)
     reflected = State(
         2.0 * q.rho - state_aux.rho,
         2.0 * q.m - state_aux.m,
@@ -214,13 +215,12 @@ def solve(bdata, config, progress=None):
     endpoint_mass = float(np.sum(b))
     nodal = mesh.lumped_mass()
     aux = project_continuity(initialize(mesh, bdata), b, system)
-    phi = None
     stats = []
     feasible = aux
     converged = False
     threshold = None
     for it in range(1, config.max_iters + 1):
-        aux, feasible, image, residual, phi = dr_step(aux, b, system, config, phi)
+        aux, feasible, image, residual, _ = dr_step(aux, b, system, config)
         if not np.isfinite(residual):
             raise NonConvergence(
                 f"DR fixed-point residual is not finite at iteration {it}", it, residual

@@ -4,10 +4,13 @@ import scipy.sparse.linalg as spla
 
 from otsource.assembly import (
     BoundaryData,
+    _edge_correction,
+    _model_inverse_on_edges,
     assemble_system,
     boundary_vector,
     cg_solve,
     continuity_defect,
+    edge_nodes,
 )
 from otsource.exceptions import NonConvergence
 from otsource.mesh import State, build_mesh
@@ -163,6 +166,61 @@ def test_preconditioner_inverts_periodic_system():
     system = assemble_system(mesh, 0.7)
     w = np.random.default_rng(5).standard_normal(mesh.n_dofs)
     assert np.allclose(system.precond(system.matrix @ w), w, atol=1e-12)
+
+
+def _dense_model_inverse(system):
+    """P^(-1) one column at a time, from the spectral application."""
+    return np.column_stack([system.precond(e) for e in np.eye(system.mesh.n_dofs)])
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+@pytest.mark.parametrize("nx", [2, 3, 5, 32])
+def test_exact_solve_residual(bc, nx):
+    rng = np.random.default_rng(nx)
+    for nt in (2, 3, 8):
+        mesh = build_mesh(nx, nt, bc)
+        for delta in (0.01, 1.0, 10.0):
+            system = assemble_system(mesh, delta)
+            f = rng.standard_normal(mesh.n_dofs)
+            x = system.solve(f)
+            resid = np.linalg.norm(system.matrix @ x - f)
+            assert resid <= 1e-10 * np.linalg.norm(f), (nt, delta, resid)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_edge_nodes_are_the_support_of_the_model_defect(bc):
+    # A - P vanishes outside the rows and columns of edge_nodes, and is
+    # nonzero in every one of those rows; _edge_correction is its block
+    for nx, nt, delta in ((2, 2, 1.0), (3, 2, 0.7), (3, 3, 5.0), (5, 3, 0.05)):
+        mesh = build_mesh(nx, nt, bc)
+        system = assemble_system(mesh, delta)
+        defect = system.matrix.toarray() - np.linalg.inv(_dense_model_inverse(system))
+        scale = np.abs(system.matrix).max()
+        support = np.flatnonzero(np.abs(defect).max(axis=1) > 1e-10 * scale)
+        edges = edge_nodes(mesh)
+        assert np.array_equal(np.sort(edges), support), (nx, nt)
+        outside = np.ones(mesh.n_dofs, dtype=bool)
+        outside[edges] = False
+        assert np.abs(defect[outside]).max() <= 1e-10 * scale
+        if bc == "periodic":
+            assert edges.size == 0
+            continue
+        assert edges.size == 4 * (nt + 1) + 8 * (nx - 1)
+        block = _edge_correction(mesh, delta, edges).toarray()
+        expected = defect[np.ix_(edges, edges)]
+        assert np.allclose(block, expected, rtol=0.0, atol=1e-10 * scale)
+
+
+def test_closed_form_model_inverse_on_edges():
+    for nx, nt, delta in ((2, 2, 1.0), (3, 4, 0.3), (6, 3, 10.0)):
+        mesh = build_mesh(nx, nt)
+        system = assemble_system(mesh, delta)
+        edges = edge_nodes(mesh)
+        columns = np.column_stack(
+            [system.precond(np.eye(mesh.n_dofs)[e]) for e in edges]
+        )[edges]
+        w = _model_inverse_on_edges(mesh, system.precond, edges)
+        assert np.allclose(w, columns, rtol=0.0, atol=1e-12 * np.abs(columns).max())
 
 
 class TestDefect:

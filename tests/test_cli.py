@@ -194,7 +194,7 @@ def test_outputs_written_and_manifest_hashes(moving_pair, tmp_path, capsys):
     a, b = moving_pair
     out = tmp_path / "run"
     code = run_cli(["--a", a, "--b", b, *BASE, "--out", str(out)])
-    capsys.readouterr()
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
     assert code in (0, 2)
     names = set(os.listdir(out))
     assert {"manifest.txt", "trace.csv", "profiles.csv"} <= names
@@ -206,6 +206,10 @@ def test_outputs_written_and_manifest_hashes(moving_pair, tmp_path, capsys):
     assert entries["sha256_a"] == file_sha256(a)
     assert entries["sha256_b"] == file_sha256(b)
     assert entries["version"].startswith("otsource-")
+    # the summary line reports the returned state's infeasible volume,
+    # the same value the manifest records
+    volume = float(entries["infeasible_volume"])
+    assert summary.endswith(f"infeasible volume {volume:.3e}")
 
 
 def test_first_frame_shows_left_endpoint(moving_pair, tmp_path, capsys):

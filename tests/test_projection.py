@@ -28,7 +28,7 @@ def _setup(nx=3, nt=2, delta=1.0, seed=0, bc="neumann"):
 
 def test_output_is_feasible():
     mesh, system, bdata, state = _setup()
-    out = project_continuity(state, boundary_vector(mesh, bdata), system, tol=1e-11)
+    out = project_continuity(state, boundary_vector(mesh, bdata), system)
     defect = continuity_defect(out, boundary_vector(mesh, bdata), mesh)
     assert np.linalg.norm(defect) < 1e-9
 
@@ -38,14 +38,14 @@ def test_mass_row_machine_exact():
     # the linear-solver tolerance
     for delta in (0.3, 1.0, 5.0):
         mesh, system, bdata, state = _setup(delta=delta, seed=4)
-        out = project_continuity(state, boundary_vector(mesh, bdata), system, tol=1e-9)
+        out = project_continuity(state, boundary_vector(mesh, bdata), system)
         assert mass_balance_defect(out, bdata, mesh) < 1e-13
 
 
 def test_idempotent():
     mesh, system, bdata, state = _setup(seed=1)
-    once = project_continuity(state, boundary_vector(mesh, bdata), system, tol=1e-12)
-    twice = project_continuity(once, boundary_vector(mesh, bdata), system, tol=1e-12)
+    once = project_continuity(state, boundary_vector(mesh, bdata), system)
+    twice = project_continuity(once, boundary_vector(mesh, bdata), system)
     gap = weighted_norm(
         twice.rho - once.rho, twice.m - once.m, twice.z - once.z, mesh, system.delta
     )
@@ -54,8 +54,8 @@ def test_idempotent():
 
 def test_feasible_point_is_fixed():
     mesh, system, bdata, state = _setup(seed=2)
-    feas = project_continuity(state, boundary_vector(mesh, bdata), system, tol=1e-12)
-    again = project_continuity(feas, boundary_vector(mesh, bdata), system, tol=1e-12)
+    feas = project_continuity(state, boundary_vector(mesh, bdata), system)
+    again = project_continuity(feas, boundary_vector(mesh, bdata), system)
     assert np.max(np.abs(again.rho - feas.rho)) < 1e-9
     assert np.max(np.abs(again.z - feas.z)) < 1e-9
 
@@ -64,14 +64,14 @@ def test_orthogonality():
     # input - output must be orthogonal to the feasible set: test against
     # an independently projected second point
     mesh, system, bdata, state = _setup(seed=3)
-    out = project_continuity(state, boundary_vector(mesh, bdata), system, tol=1e-12)
+    out = project_continuity(state, boundary_vector(mesh, bdata), system)
     rng = np.random.default_rng(33)
     other = State(
         rng.standard_normal(mesh.n_tets),
         rng.standard_normal((mesh.n_tets, 2)),
         rng.standard_normal(mesh.n_dofs),
     )
-    w = project_continuity(other, boundary_vector(mesh, bdata), system, tol=1e-12)
+    w = project_continuity(other, boundary_vector(mesh, bdata), system)
     vol, ell = mesh.volumes, mesh.lumped_mass()
     ip = float(np.sum(vol * (state.rho - out.rho) * (w.rho - out.rho)))
     ip += float(np.sum(vol * ((state.m - out.m) * (w.m - out.m)).sum(axis=1)))
@@ -96,8 +96,8 @@ def test_nonexpansive():
             rng.standard_normal((mesh.n_tets, 2)),
             rng.standard_normal(mesh.n_dofs),
         )
-        p1 = project_continuity(s1, boundary_vector(mesh, bdata), system, tol=1e-12)
-        p2 = project_continuity(s2, boundary_vector(mesh, bdata), system, tol=1e-12)
+        p1 = project_continuity(s1, boundary_vector(mesh, bdata), system)
+        p2 = project_continuity(s2, boundary_vector(mesh, bdata), system)
         din = weighted_norm(
             s1.rho - s2.rho, s1.m - s2.m, s1.z - s2.z, mesh, system.delta
         )
@@ -109,6 +109,6 @@ def test_nonexpansive():
 
 def test_periodic_projection_feasible():
     mesh, system, bdata, state = _setup(bc="periodic", seed=6)
-    out = project_continuity(state, boundary_vector(mesh, bdata), system, tol=1e-11)
+    out = project_continuity(state, boundary_vector(mesh, bdata), system)
     assert np.linalg.norm(continuity_defect(out, boundary_vector(mesh, bdata), mesh)) < 1e-9
     assert mass_balance_defect(out, bdata, mesh) < 1e-13
