@@ -13,6 +13,10 @@ r = |b|^2 / 8, whose largest root is the one positive root; it is taken
 in closed form (Cardano's formula, or its trigonometric form when the
 cubic has three real roots), polished by one Newton step in lam, and a*
 is finally clamped onto the boundary so the output never violates K.
+Cardano's formula is evaluated for every active point and the
+trigonometric form, with its arccos and cos, only for the points with
+three real roots, which overwrite theirs; each point gets the value of
+its own branch, so a batch equals the concatenation of its parts.
 """
 
 import numpy as np
@@ -51,12 +55,14 @@ def project_paraboloid(a, bx, by):
     with np.errstate(divide="ignore", invalid="ignore"):
         # disc >= 0 implies u >= r/4 >= 0, so this sum never cancels
         t1 = np.cbrt(u + np.sqrt(np.maximum(disc, 0.0)))
-        cardano = t1 + m * m / t1 + m
+        s = t1 + m * m / t1 + m
         # disc < 0 means three real roots and p < 0; the largest root
         # belongs to the smallest angle
-        phi = np.arccos(np.clip(u / -m3, -1.0, 1.0))
-        trig = m - 2.0 * m * np.cos(phi / 3.0)
-    s = np.where(disc >= 0.0, cardano, trig)
+        three = np.nonzero(disc < 0.0)[0]
+        if three.size:
+            m_three = m[three]
+            phi = np.arccos(np.clip(u[three] / -m3[three], -1.0, 1.0))
+            s[three] = m_three - 2.0 * m_three * np.cos(phi / 3.0)
 
     # one Newton step on (a - lam) s^2 + |b|^2/4 = 0 polishes the root
     lam = 2.0 * (s - 1.0)

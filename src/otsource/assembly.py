@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import NonConvergence
-from .mesh import State, gradient_p1
+from .mesh import State
 
 
 @dataclass
@@ -358,13 +358,15 @@ def boundary_vector(mesh, bdata):
 def continuity_defect(state, b, mesh):
     """Residual of the weak continuity equation against every hat function.
 
-    b is the boundary_vector of the endpoint data.
+    b is the boundary_vector of the endpoint data.  With v the common
+    element volume and bt, bm the mesh's divergence_operators, the
+    residual is bt (v rho) + bm (v m) + ell z - b, where bm reads the
+    (n_tets, 2) momentum raveled in place.
     """
-    gt, gx, gy = mesh.gradient_matrices()
-    vol = mesh.volumes
-    r = gt.T @ (vol * state.rho)
-    r += gx.T @ (vol * state.m[:, 0])
-    r += gy.T @ (vol * state.m[:, 1])
+    bt, bm, _, _ = mesh.divergence_operators()
+    vol = mesh.volumes[0]
+    r = bt @ (vol * state.rho)
+    r += bm @ (vol * state.m.ravel())
     r += mesh.lumped_mass() * state.z
     r -= b
     return r
@@ -422,7 +424,9 @@ def project_continuity(state, b, system, return_phi=False):
 
     b is the boundary_vector of the endpoint data, built once per solve.
     Solves the SPD potential system exactly (SparseSystem.solve), then
-    applies the explicit update.  The output tested against psi = 1
+    applies the explicit update with the transposed views of the mesh's
+    divergence_operators, which give the time and the spatial gradient
+    of phi in the layouts of rho and m.  The output tested against psi = 1
     reproduces the mass balance identity exactly: after the linear
     solve, z is shifted by the constant that zeroes this row, a
     correction at rounding level that keeps the reported mass defect
@@ -431,9 +435,9 @@ def project_continuity(state, b, system, return_phi=False):
     """
     mesh = system.mesh
     phi = system.solve(-continuity_defect(state, b, mesh))
-    g = gradient_p1(mesh, phi)
-    rho = state.rho + 0.5 * g[:, 0]
-    m = state.m + 0.5 * g[:, 1:]
+    _, _, grad_t, grad_m = mesh.divergence_operators()
+    rho = state.rho + 0.5 * (grad_t @ phi)
+    m = state.m + 0.5 * (grad_m @ phi).reshape(-1, 2)
     z = state.z + (0.5 * system.delta) * phi
 
     lum = mesh.lumped_mass()

@@ -12,6 +12,11 @@ volume hx^2 ht / 6, and the path through its four vertices steps once
 along each axis, so each gradient component of a P1 field is one
 difference of two nodal values over the grid spacing.
 
+The mesh builds these differences once, as the two sparse divergence
+operators of divergence_operators in the layout of State: Bt acts on a
+P0 field and Bm on the (n_tets, 2) momentum raveled in place.  Their
+transposes, kept as views of the same arrays, are the gradient.
+
 Two element spaces are used throughout:
 
 * P0 fields carry one value per tetrahedron (densities, momentum),
@@ -80,9 +85,12 @@ class SpaceTimeMesh:
         stride 1 for x, nx+1 for y and (nx+1)^2 for t.  The orientation
         (the sign of the volume spanned) is not fixed.
     tet_dofs : (n_tets, 4) int
-        Degree-of-freedom numbers of the tetrahedron vertices.
+        Degree-of-freedom numbers of the tetrahedron vertices.  With
+        Neumann boundaries every vertex is its own dof and this is the
+        tets array itself, shared, not a copy: treat both as read-only.
     volumes : (n_tets,) float
-        Tetrahedron volumes, all equal to hx^2 ht / 6.
+        Tetrahedron volumes, all equal to hx^2 ht / 6; code that needs
+        the value reads volumes[0].
     tet_slab : (n_tets,) int
         Time interval each tetrahedron belongs to.
     tet_tri : (n_tets,) int
@@ -170,13 +178,14 @@ class SpaceTimeMesh:
         if bc == "neumann":
             self.nsp = pslice
             sdof = np.arange(pslice, dtype=np.int64)
+            self.tet_dofs = self.tets
         else:
             self.nsp = nx * nx
             gi, gj = np.meshgrid(np.arange(npt), np.arange(npt), indexing="xy")
             sdof = ((gj.ravel() % nx) * nx + (gi.ravel() % nx)).astype(np.int64)
+            slab_of_vert, local = np.divmod(self.tets, pslice)
+            self.tet_dofs = slab_of_vert * self.nsp + sdof[local]
         self.n_dofs = self.nsp * (nt + 1)
-        slab_of_vert, local = np.divmod(self.tets, pslice)
-        self.tet_dofs = slab_of_vert * self.nsp + sdof[local]
         self.tri_sdofs = sdof[tris]
 
         self._slice_w = np.bincount(
@@ -185,11 +194,51 @@ class SpaceTimeMesh:
             minlength=self.nsp,
         )
 
+        self._divergence = None
         self._grad_mats = None
         self._stiffness = None
         self._lumped = None
 
     # -- assembled operators -------------------------------------------------
+
+    def _kuhn_steps(self):
+        """The step of every Kuhn path along each axis, in (t, x, y) order.
+
+        Returns three pairs (ends, h): ends is (n_tets, 2), the dofs
+        before and after the tetrahedron's one step along that axis, and
+        h the grid spacing of the axis.  The gradient component is
+        (phi[ends[:, 1]] - phi[ends[:, 0]]) / h.
+        """
+        npt = self.nx + 1
+        steps = np.diff(self.tets, axis=1)
+        out = []
+        for stride, h in ((npt * npt, self.ht), (1, self.hx), (npt, self.hx)):
+            first = np.argmax(steps == stride, axis=1)[:, None]
+            out.append((np.take_along_axis(self.tet_dofs, first + [0, 1], axis=1), h))
+        return out
+
+    def divergence_operators(self):
+        """Sparse divergence and gradient in the layout of State, built once.
+
+        Returns (bt, bm, grad_t, grad_m).  bt, of shape (n_dofs, n_tets),
+        and bm, of shape (n_dofs, 2 n_tets), are CSR; the columns of bm
+        interleave the x and y components, so bm acts on m.ravel() of
+        an (n_tets, 2) momentum.  grad_t = bt.T and grad_m = bm.T are
+        transposed views of the same arrays: grad_t @ phi is the time
+        component of the elementwise gradient and
+        (grad_m @ phi).reshape(n_tets, 2) the spatial one.  Together
+        they hold the 6 n_tets nonzeros of the three gradient matrices.
+        """
+        if self._divergence is None:
+            self._divergence = self._build_divergence_operators()
+        return self._divergence
+
+    def _build_divergence_operators(self):
+        (ends_t, ht), (ends_x, hx), (ends_y, _) = self._kuhn_steps()
+        bt = _step_differences(ends_t, ht, self.n_dofs).tocsr()
+        ends_m = np.stack([ends_x, ends_y], axis=1).reshape(-1, 2)
+        bm = _step_differences(ends_m, hx, self.n_dofs).tocsr()
+        return bt, bm, bt.T, bm.T
 
     def gradient_matrices(self):
         """Sparse maps from P1 dof vectors to per-tet gradient components.
@@ -200,22 +249,14 @@ class SpaceTimeMesh:
         axis, so each component is the difference of the P1 values at
         the two ends of that step over the grid spacing: every row holds
         two entries, -1/h at the earlier vertex and +1/h at the later.
+        The solver does not use them (see divergence_operators); they
+        build the stiffness matrix.
         """
         if self._grad_mats is None:
-            npt = self.nx + 1
-            steps = np.diff(self.tets, axis=1)
-            indptr = np.arange(0, 2 * self.n_tets + 1, 2)
-            mats = []
-            for stride, h in ((npt * npt, self.ht), (1, self.hx), (npt, self.hx)):
-                first = np.argmax(steps == stride, axis=1)[:, None]
-                cols = np.take_along_axis(self.tet_dofs, first + [0, 1], axis=1)
-                vals = np.tile([-1.0 / h, 1.0 / h], self.n_tets)
-                mats.append(
-                    sp.csr_matrix(
-                        (vals, cols.ravel(), indptr), shape=(self.n_tets, self.n_dofs)
-                    )
-                )
-            self._grad_mats = tuple(mats)
+            self._grad_mats = tuple(
+                _step_differences(ends, h, self.n_dofs).T
+                for ends, h in self._kuhn_steps()
+            )
         return self._grad_mats
 
     def stiffness_matrix(self):
@@ -287,6 +328,19 @@ class SpaceTimeMesh:
             raise ValueError(f"slice index {k} outside [0, {self.nt}]")
 
 
+def _step_differences(ends, h, n_dofs):
+    """Transpose of the map from P1 values to the steps' differences.
+
+    A CSC matrix of shape (n_dofs, len(ends)) whose column e holds -1/h
+    at dof ends[e, 0] and +1/h at dof ends[e, 1].
+    """
+    n = ends.shape[0]
+    return sp.csc_matrix(
+        (np.tile([-1.0 / h, 1.0 / h], n), ends.ravel(), np.arange(0, 2 * n + 1, 2)),
+        shape=(n_dofs, n),
+    )
+
+
 def build_mesh(nx, nt, bc="neumann"):
     """Construct a SpaceTimeMesh; see the class for conventions."""
     return SpaceTimeMesh(nx, nt, bc)
@@ -296,13 +350,14 @@ def gradient_p1(mesh, phi):
     """Per-element gradient of a P1 field, shape (n_tets, 3).
 
     Exact for the interpolant: affine fields reproduce their constant
-    gradient on every element.
+    gradient on every element.  The projection applies the two parts of
+    divergence_operators directly instead, without this stacking.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (mesh.n_dofs,):
         raise ValueError(f"expected {mesh.n_dofs} nodal values, got {phi.shape}")
-    gt, gx, gy = mesh.gradient_matrices()
-    return np.column_stack([gt @ phi, gx @ phi, gy @ phi])
+    _, _, grad_t, grad_m = mesh.divergence_operators()
+    return np.column_stack([grad_t @ phi, (grad_m @ phi).reshape(-1, 2)])
 
 
 def spatial_slice_weights(mesh, k):

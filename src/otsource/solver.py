@@ -104,12 +104,13 @@ class GeodesicResult:
 def weighted_norm(rho, m, z, mesh, delta):
     """Norm with weights (1, 1, 1/delta), the same one the projection uses.
 
-    All three blocks are diagonally weighted l2 norms: element volumes
-    for the P0 fields and nodal integrals for the P1 source.
+    All three blocks are diagonally weighted l2 norms: the element
+    volume, one constant, for the P0 fields and nodal integrals for the
+    P1 source.  Each block is one dot product.
     """
-    sq = float(np.sum(mesh.volumes * rho * rho))
-    sq += float(np.sum(mesh.volumes * (m[:, 0] ** 2 + m[:, 1] ** 2)))
-    sq += float(np.sum(mesh.lumped_mass() * z * z)) / delta
+    mr = m.ravel()
+    sq = mesh.volumes[0] * (float(rho @ rho) + float(mr @ mr))
+    sq += float(mesh.lumped_mass() @ (z * z)) / delta
     return np.sqrt(sq)
 
 

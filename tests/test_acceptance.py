@@ -144,19 +144,19 @@ def _solve_plan():
     and with it 1 (the four c3 runs).  Solve times of one full run on
     two cores, in plan order, with the finishing time since the start:
 
-        c4              18 s      18 s
-        c6_delta_1.0    18 s      36 s
-        c7_l2l2         18 s      54 s
-        c6_delta_0.01   14 s      68 s
-        c6_delta_10.0   15 s      83 s
-        c5              53 s     136 s
-        c3_none         24 s     160 s
-        c3_l2l2         27 s     187 s
-        c3_l1l1         26 s     213 s
-        c3_l2huber      40 s     253 s
+        c4              13 s      13 s
+        c6_delta_1.0    16 s      29 s
+        c7_l2l2         19 s      48 s
+        c6_delta_0.01   16 s      64 s
+        c6_delta_10.0   16 s      80 s
+        c5              47 s     127 s
+        c3_none         17 s     144 s
+        c3_l2l2         20 s     164 s
+        c3_l1l1         18 s     182 s
+        c3_l2huber      36 s     218 s
 
     so on a host this fast the default budget covers criteria 4 to 8;
-    criteria 1 and 3 need one about 21% faster.
+    criteria 1 and 3 need one about 9% faster.
     """
     plan = []
 

@@ -13,7 +13,8 @@ from otsource.assembly import (
     edge_nodes,
 )
 from otsource.exceptions import NonConvergence
-from otsource.mesh import State, build_mesh
+from otsource.mesh import SpaceTimeMesh, State, build_mesh
+from otsource.solver import SolverConfig, solve
 
 
 def _zero_state(mesh):
@@ -247,3 +248,46 @@ class TestBoundaryData:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             BoundaryData(np.zeros(8), np.zeros(6))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+@pytest.mark.parametrize("nx,nt", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
+def test_continuity_defect_matches_gradient_matrices(bc, nx, nt):
+    # reference: the three transposed gradient matrices, one product each
+    mesh = build_mesh(nx, nt, bc=bc)
+    rng = np.random.default_rng(nx * 10 + nt)
+    state = State(
+        rng.standard_normal(mesh.n_tets),
+        rng.standard_normal((mesh.n_tets, 2)),
+        rng.standard_normal(mesh.n_dofs),
+    )
+    n = 2 * nx * nx
+    b = boundary_vector(mesh, BoundaryData(rng.random(n), rng.random(n)))
+    gt, gx, gy = mesh.gradient_matrices()
+    vol = mesh.volumes
+    expect = (
+        gt.T @ (vol * state.rho)
+        + gx.T @ (vol * state.m[:, 0])
+        + gy.T @ (vol * state.m[:, 1])
+        + mesh.lumped_mass() * state.z
+        - b
+    )
+    got = continuity_defect(state, b, mesh)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+def test_solve_builds_divergence_operators_once(monkeypatch):
+    calls = []
+    build = SpaceTimeMesh._build_divergence_operators
+
+    def counting(mesh):
+        calls.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(SpaceTimeMesh, "_build_divergence_operators", counting)
+    rng = np.random.default_rng(5)
+    bdata = BoundaryData(rng.uniform(0.2, 1.0, 32), rng.uniform(0.2, 1.0, 32))
+    result = solve(bdata, SolverConfig(nt=3, max_iters=20, fp_tol=0.0))
+    assert len(result.stats) == 20
+    assert len(calls) == 1
+    assert calls[0] is result.mesh

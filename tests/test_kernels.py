@@ -123,3 +123,30 @@ def test_reference_raises_on_nonfinite():
 def test_reference_shape_validation():
     with pytest.raises(ValueError):
         project_paraboloid(np.zeros(3), np.zeros(2), np.zeros(3))
+
+
+def _has_three_real_roots(a, bx, by):
+    # the kernel's discriminant, negative where the trigonometric form
+    # of the root is taken
+    m = (a + 2.0) / 6.0
+    r = 0.125 * (bx * bx + by * by)
+    return r * (m**3 + 0.25 * r) < 0.0
+
+
+def test_mixed_branches_equal_separate_calls():
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-30.0, 3.0, 4000)
+    bx = rng.uniform(-8.0, 8.0, 4000)
+    by = rng.uniform(-8.0, 8.0, 4000)
+    active = a + 0.25 * (bx * bx + by * by) > 0.0
+    three = _has_three_real_roots(a, bx, by) & active
+    cardano = ~three
+    assert three.sum() > 100 and (cardano & active).sum() > 100
+    mixed = project_paraboloid(a, bx, by)
+    for out, part_three, part_cardano in zip(
+        mixed,
+        project_paraboloid(a[three], bx[three], by[three]),
+        project_paraboloid(a[cardano], bx[cardano], by[cardano]),
+    ):
+        assert np.array_equal(out[three], part_three)
+        assert np.array_equal(out[cardano], part_cardano)

@@ -196,3 +196,48 @@ def test_slice_dofs_shape_and_range():
     # slices tile the dof set
     stacked = np.concatenate([mesh.slice_dofs(k) for k in range(3)])
     assert len(np.unique(stacked)) == mesh.n_dofs
+
+
+def test_neumann_tet_dofs_share_tets():
+    # with Neumann boundaries every vertex is its own dof: the dof table
+    # is the vertex table, shared rather than rebuilt
+    mesh = build_mesh(3, 2)
+    assert np.array_equal(mesh.tet_dofs, mesh.tets)
+    assert mesh.tet_dofs is mesh.tets
+    periodic = build_mesh(3, 2, bc="periodic")
+    assert not np.shares_memory(periodic.tet_dofs, periodic.tets)
+    assert periodic.tet_dofs.max() < periodic.n_dofs
+
+
+OPERATOR_MESHES = [
+    (bc, nx, nt) for bc in ("neumann", "periodic") for nx in (2, 3, 5) for nt in (2, 3)
+]
+
+
+@pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
+def test_gradient_p1_equals_gradient_matrices(bc, nx, nt):
+    mesh = build_mesh(nx, nt, bc=bc)
+    phi = np.random.default_rng(nx * 10 + nt).standard_normal(mesh.n_dofs)
+    expect = np.column_stack([g @ phi for g in mesh.gradient_matrices()])
+    assert np.array_equal(gradient_p1(mesh, phi), expect)
+
+
+@pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
+def test_divergence_operators_are_adjoint_to_the_gradient(bc, nx, nt):
+    mesh = build_mesh(nx, nt, bc=bc)
+    bt, bm, grad_t, grad_m = mesh.divergence_operators()
+    assert bt.shape == (mesh.n_dofs, mesh.n_tets)
+    assert bm.shape == (mesh.n_dofs, 2 * mesh.n_tets)
+    # the gradient is a view of the divergence, not a second copy
+    assert bt.nnz + bm.nnz == 6 * mesh.n_tets
+    assert np.shares_memory(grad_t.data, bt.data)
+    assert np.shares_memory(grad_m.data, bm.data)
+    rng = np.random.default_rng(nx * 10 + nt)
+    phi = rng.standard_normal(mesh.n_dofs)
+    rho = rng.standard_normal(mesh.n_tets)
+    m = rng.standard_normal((mesh.n_tets, 2))
+    v = mesh.volumes[0]
+    lhs = phi @ (bt @ (v * rho) + bm @ (v * m.ravel()))
+    g_t, g_m = grad_t @ phi, (grad_m @ phi).reshape(-1, 2)
+    rhs = v * (g_t @ rho + np.sum(g_m * m))
+    assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
