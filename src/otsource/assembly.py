@@ -372,14 +372,13 @@ def continuity_defect(state, b, mesh):
     return r
 
 
-def cg_solve(system, rhs, tol=1e-9, maxit=None, x0=None, callback=None):
-    """Conjugate gradients preconditioned by system.precond.
+def cg_solve(system, rhs, tol=1e-9, maxit=None, callback=None):
+    """Conjugate gradients from zero, preconditioned by system.precond.
 
     Stops when |A x - rhs| <= tol * |rhs|; raises NonConvergence past
-    maxit (default 10 * sqrt(n) + 500).  x0 is the starting point
-    (zero by default).  The projection does not use it: SparseSystem.
-    solve is exact.  It is kept as an independent check of the
-    assembled matrix and of the preconditioner.
+    maxit (default 10 * sqrt(n) + 500).  The projection does not use
+    it: SparseSystem.solve is exact.  It is kept as an independent
+    check of the assembled matrix and of the preconditioner.
     """
     a = system.matrix
     precond = system.precond
@@ -390,11 +389,8 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, x0=None, callback=None):
     bnorm = float(np.sqrt(rhs @ rhs))
     if bnorm == 0.0:
         return np.zeros(n)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = rhs - a @ x
-    res = float(np.sqrt(r @ r))
-    if res <= tol * bnorm:
-        return x
+    x = np.zeros(n)
+    r = rhs.copy()
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)

@@ -52,8 +52,9 @@ def transport_energy(state, mesh):
     moving = rho > eps_rho
     still = ~moving & (rho >= -eps_rho) & (m2 <= eps_m2)
     bad = ~moving & ~still
-    energy = float(np.sum(mesh.volumes[moving] * m2[moving] / rho[moving]))
-    return energy, float(np.sum(mesh.volumes[bad]))
+    vol = float(mesh.volumes[0])
+    energy = vol * float(np.sum(m2[moving] / rho[moving]))
+    return energy, vol * float(np.count_nonzero(bad))
 
 
 def source_energy(z, model, delta, mesh):

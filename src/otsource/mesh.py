@@ -12,10 +12,12 @@ volume hx^2 ht / 6, and the path through its four vertices steps once
 along each axis, so each gradient component of a P1 field is one
 difference of two nodal values over the grid spacing.
 
-The mesh builds these differences once, as the two sparse divergence
-operators of divergence_operators in the layout of State: Bt acts on a
-P0 field and Bm on the (n_tets, 2) momentum raveled in place.  Their
-transposes, kept as views of the same arrays, are the gradient.
+The mesh assembles these differences once, as the two sparse
+divergence operators of divergence_operators in the layout of State:
+Bt acts on a P0 field and Bm on the (n_tets, 2) momentum raveled in
+place.  Their transposes, kept as views of the same arrays, are the
+gradient, and the mesh holds no other copy of it: the stiffness matrix
+is v (Bt Bt^T + Bm Bm^T) with v the element volume.
 
 Two element spaces are used throughout:
 
@@ -59,12 +61,12 @@ class State:
     m: np.ndarray
     z: np.ndarray
 
-    def copy(self):
-        return State(self.rho.copy(), self.m.copy(), self.z.copy())
-
 
 class SpaceTimeMesh:
     """Conforming tetrahedral mesh of [0,1] x (0,1)^2.
+
+    The P1 gradient is assembled once, on first use, as
+    divergence_operators; stiffness_matrix and gradient_p1 read it.
 
     Parameters
     ----------
@@ -195,27 +197,9 @@ class SpaceTimeMesh:
         )
 
         self._divergence = None
-        self._grad_mats = None
-        self._stiffness = None
         self._lumped = None
 
     # -- assembled operators -------------------------------------------------
-
-    def _kuhn_steps(self):
-        """The step of every Kuhn path along each axis, in (t, x, y) order.
-
-        Returns three pairs (ends, h): ends is (n_tets, 2), the dofs
-        before and after the tetrahedron's one step along that axis, and
-        h the grid spacing of the axis.  The gradient component is
-        (phi[ends[:, 1]] - phi[ends[:, 0]]) / h.
-        """
-        npt = self.nx + 1
-        steps = np.diff(self.tets, axis=1)
-        out = []
-        for stride, h in ((npt * npt, self.ht), (1, self.hx), (npt, self.hx)):
-            first = np.argmax(steps == stride, axis=1)[:, None]
-            out.append((np.take_along_axis(self.tet_dofs, first + [0, 1], axis=1), h))
-        return out
 
     def divergence_operators(self):
         """Sparse divergence and gradient in the layout of State, built once.
@@ -227,54 +211,46 @@ class SpaceTimeMesh:
         transposed views of the same arrays: grad_t @ phi is the time
         component of the elementwise gradient and
         (grad_m @ phi).reshape(n_tets, 2) the spatial one.  Together
-        they hold the 6 n_tets nonzeros of the three gradient matrices.
+        they hold 6 n_tets nonzeros, two per gradient component of each
+        tetrahedron: -1/h at the dof before its step along that axis and
+        +1/h at the dof after.  This is the mesh's one assembled
+        gradient; stiffness_matrix is built from it.
         """
         if self._divergence is None:
             self._divergence = self._build_divergence_operators()
         return self._divergence
 
     def _build_divergence_operators(self):
-        (ends_t, ht), (ends_x, hx), (ends_y, _) = self._kuhn_steps()
-        bt = _step_differences(ends_t, ht, self.n_dofs).tocsr()
+        # the Kuhn path of every tetrahedron steps once along each axis,
+        # by stride (nx+1)^2 in t, 1 in x and nx+1 in y; ends are the dofs
+        # before and after that step
+        npt = self.nx + 1
+        steps = np.diff(self.tets, axis=1)
+        ends_t, ends_x, ends_y = (
+            np.take_along_axis(
+                self.tet_dofs,
+                np.argmax(steps == stride, axis=1)[:, None] + [0, 1],
+                axis=1,
+            )
+            for stride in (npt * npt, 1, npt)
+        )
+        bt = _step_differences(ends_t, self.ht, self.n_dofs).tocsr()
         ends_m = np.stack([ends_x, ends_y], axis=1).reshape(-1, 2)
-        bm = _step_differences(ends_m, hx, self.n_dofs).tocsr()
+        bm = _step_differences(ends_m, self.hx, self.n_dofs).tocsr()
         return bt, bm, bt.T, bm.T
 
-    def gradient_matrices(self):
-        """Sparse maps from P1 dof vectors to per-tet gradient components.
-
-        Returns (Gt, Gx, Gy), each of shape (n_tets, n_dofs), so that
-        Gc @ phi is the c-component of the elementwise gradient.  Along
-        the Kuhn path of a tetrahedron exactly one step moves along each
-        axis, so each component is the difference of the P1 values at
-        the two ends of that step over the grid spacing: every row holds
-        two entries, -1/h at the earlier vertex and +1/h at the later.
-        The solver does not use them (see divergence_operators); they
-        build the stiffness matrix.
-        """
-        if self._grad_mats is None:
-            self._grad_mats = tuple(
-                _step_differences(ends, h, self.n_dofs).T
-                for ends, h in self._kuhn_steps()
-            )
-        return self._grad_mats
-
     def stiffness_matrix(self):
-        """P1 stiffness matrix for the full space-time gradient.
+        """P1 stiffness matrix for the full space-time gradient, CSR.
 
-        The sum of vol G^T G over the three components, exactly
-        symmetric as assembled: each entry of one component's product
-        sums identical terms (vol/h^2 on the diagonal, -vol/h^2 off
-        it), so (i, j) and (j, i) round alike in any summation order.
+        v (Bt Bt^T + Bm Bm^T) with v the element volume and Bt, Bm the
+        divergence_operators; built on every call (SparseSystem.matrix
+        keeps its own copy).  Exactly symmetric as assembled: each
+        entry of one product sums identical terms (1/h^2 on the
+        diagonal, -1/h^2 off it), so (i, j) and (j, i) round alike in
+        any summation order.
         """
-        if self._stiffness is None:
-            gt, gx, gy = self.gradient_matrices()
-            k = None
-            for g in (gt, gx, gy):
-                part = g.T @ g.multiply(self.volumes[:, None])
-                k = part if k is None else k + part
-            self._stiffness = k
-        return self._stiffness
+        bt, bm, grad_t, grad_m = self.divergence_operators()
+        return self.volumes[0] * (bt @ grad_t + bm @ grad_m)
 
     def lumped_mass(self):
         """Integral of each hat function, the nodal weights ell.
@@ -349,9 +325,11 @@ def build_mesh(nx, nt, bc="neumann"):
 def gradient_p1(mesh, phi):
     """Per-element gradient of a P1 field, shape (n_tets, 3).
 
-    Exact for the interpolant: affine fields reproduce their constant
-    gradient on every element.  The projection applies the two parts of
-    divergence_operators directly instead, without this stacking.
+    Columns are the (t, x, y) components, read through the transposed
+    views of divergence_operators.  Exact for the interpolant: affine
+    fields reproduce their constant gradient on every element.  The
+    projection applies the two views directly instead, without this
+    stacking.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (mesh.n_dofs,):

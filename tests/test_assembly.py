@@ -252,8 +252,10 @@ class TestBoundaryData:
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
 @pytest.mark.parametrize("nx,nt", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
-def test_continuity_defect_matches_gradient_matrices(bc, nx, nt):
-    # reference: the three transposed gradient matrices, one product each
+def test_continuity_defect_matches_element_assembly(bc, nx, nt):
+    # reference: each element's pairing of (rho, m) with the hat-function
+    # gradients from the inverse of its edge matrix, as for an
+    # unstructured mesh, scattered to the dofs
     mesh = build_mesh(nx, nt, bc=bc)
     rng = np.random.default_rng(nx * 10 + nt)
     state = State(
@@ -263,15 +265,15 @@ def test_continuity_defect_matches_gradient_matrices(bc, nx, nt):
     )
     n = 2 * nx * nx
     b = boundary_vector(mesh, BoundaryData(rng.random(n), rng.random(n)))
-    gt, gx, gy = mesh.gradient_matrices()
-    vol = mesh.volumes
-    expect = (
-        gt.T @ (vol * state.rho)
-        + gx.T @ (vol * state.m[:, 0])
-        + gy.T @ (vol * state.m[:, 1])
-        + mesh.lumped_mass() * state.z
-        - b
-    )
+    coords = mesh.vertices[mesh.tets]
+    edges = coords[:, 1:] - coords[:, :1]
+    inv = np.linalg.inv(edges)
+    basis = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
+    vol = np.abs(np.linalg.det(edges)) / 6.0
+    flux = np.column_stack([state.rho, state.m])
+    local = vol[:, None] * np.einsum("ecv,ec->ev", basis, flux)
+    expect = mesh.lumped_mass() * state.z - b
+    np.add.at(expect, mesh.tet_dofs, local)
     got = continuity_defect(state, b, mesh)
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 

@@ -37,7 +37,8 @@ def _one_element_case(mesh, rho, m):
     state.rho[0] = rho
     state.m[0] = m
     energy, bad = transport_energy(state, mesh)
-    return energy - float(np.sum(mesh.volumes[1:])), bad
+    # each unit pair adds 1 to the sum that the element volume multiplies
+    return energy - mesh.volumes[0] * (mesh.n_tets - 1), bad
 
 
 def test_action_density_zero_at_vacuum():
@@ -111,6 +112,29 @@ def test_transport_energy_tallies_infeasible_volume():
     energy, bad = transport_energy(state, mesh)
     assert bad == pytest.approx(float(np.sum(mesh.volumes[:3])), rel=1e-12)
     assert energy == pytest.approx(float(np.sum(mesh.volumes[3:])), rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_transport_energy_matches_masked_volume_sums(bc):
+    # reference: each element class summed over its own volumes
+    mesh = build_mesh(4, 3, bc=bc)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(0, 4, mesh.n_tets)
+        rho = rng.uniform(0.1, 2.0, mesh.n_tets)
+        m = rng.standard_normal((mesh.n_tets, 2))
+        rho[kind == 1] = 0.0  # still: vacuum
+        m[kind == 1] = 0.0
+        rho[kind == 2] *= -1.0  # infeasible: negative mass
+        rho[kind == 3] = 0.0  # infeasible: momentum through vacuum
+        assert np.all(np.bincount(kind, minlength=4) > 0)
+        energy, bad = transport_energy(State(rho, m, np.zeros(mesh.n_dofs)), mesh)
+        moving = kind == 0
+        m2 = np.sum(m[moving] ** 2, axis=1)
+        expect = float(np.sum(mesh.volumes[moving] * m2 / rho[moving]))
+        assert energy == pytest.approx(expect, rel=1e-14, abs=0.0)
+        expect_bad = float(np.sum(mesh.volumes[kind >= 2]))
+        assert bad == pytest.approx(expect_bad, rel=1e-14, abs=0.0)
 
 
 def test_transport_energy_projection_noise_is_vacuum():

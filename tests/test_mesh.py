@@ -85,23 +85,50 @@ def test_gradient_exact_for_affine():
     assert np.allclose(gy, 2.2, atol=1e-13)
 
 
-@pytest.mark.parametrize("bc", ["neumann", "periodic"])
-def test_gradient_matches_inverse_jacobian(bc):
-    # reference: the hat-function gradients of each element from the
-    # inverse of its edge matrix, as for an unstructured mesh
-    mesh = build_mesh(3, 2, bc=bc)
+OPERATOR_MESHES = [
+    (bc, nx, nt) for bc in ("neumann", "periodic") for nx in (2, 3, 5) for nt in (2, 3)
+]
+
+
+def _element_basis(mesh):
+    """Hat-function gradients and volumes as for an unstructured mesh.
+
+    From the inverse and the determinant of each element's edge matrix:
+    basis[e, c, v] is the c-component of the gradient of the hat at
+    vertex v of element e, vol[e] its volume.
+    """
     coords = mesh.vertices[mesh.tets]
     edges = coords[:, 1:] - coords[:, :1]
     inv = np.linalg.inv(edges)
     basis = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
-    phi = np.random.default_rng(3).standard_normal(mesh.n_dofs)
+    return basis, np.abs(np.linalg.det(edges)) / 6.0
+
+
+@pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
+def test_gradient_matches_inverse_jacobian(bc, nx, nt):
+    mesh = build_mesh(nx, nt, bc=bc)
+    basis, vol = _element_basis(mesh)
+    phi = np.random.default_rng(nx * 10 + nt).standard_normal(mesh.n_dofs)
     expect = np.einsum("ecv,ev->ec", basis, phi[mesh.tet_dofs])
     assert np.allclose(gradient_p1(mesh, phi), expect, rtol=0.0, atol=1e-12)
-    for g in mesh.gradient_matrices():
-        assert g.nnz == 2 * mesh.n_tets
-    vol = mesh.hx**2 * mesh.ht / 6.0
-    assert np.allclose(mesh.volumes, vol, rtol=1e-15, atol=0.0)
-    assert np.allclose(np.abs(np.linalg.det(edges)) / 6.0, vol, rtol=1e-13, atol=0.0)
+    bt, bm, _, _ = mesh.divergence_operators()
+    assert bt.nnz == 2 * mesh.n_tets
+    assert bm.nnz == 4 * mesh.n_tets
+    assert np.allclose(mesh.volumes, mesh.hx**2 * mesh.ht / 6.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(vol, mesh.volumes, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
+def test_stiffness_matches_element_assembly(bc, nx, nt):
+    # reference: the sum over elements of vol grad(hat_i) . grad(hat_j)
+    mesh = build_mesh(nx, nt, bc=bc)
+    basis, vol = _element_basis(mesh)
+    local = vol[:, None, None] * np.einsum("eci,ecj->eij", basis, basis)
+    dofs = mesh.tet_dofs
+    expect = np.zeros((mesh.n_dofs, mesh.n_dofs))
+    np.add.at(expect, (dofs[:, :, None], dofs[:, None, :]), local)
+    got = mesh.stiffness_matrix().toarray()
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_gradient_of_time_coordinate():
@@ -207,19 +234,6 @@ def test_neumann_tet_dofs_share_tets():
     periodic = build_mesh(3, 2, bc="periodic")
     assert not np.shares_memory(periodic.tet_dofs, periodic.tets)
     assert periodic.tet_dofs.max() < periodic.n_dofs
-
-
-OPERATOR_MESHES = [
-    (bc, nx, nt) for bc in ("neumann", "periodic") for nx in (2, 3, 5) for nt in (2, 3)
-]
-
-
-@pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
-def test_gradient_p1_equals_gradient_matrices(bc, nx, nt):
-    mesh = build_mesh(nx, nt, bc=bc)
-    phi = np.random.default_rng(nx * 10 + nt).standard_normal(mesh.n_dofs)
-    expect = np.column_stack([g @ phi for g in mesh.gradient_matrices()])
-    assert np.array_equal(gradient_p1(mesh, phi), expect)
 
 
 @pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
