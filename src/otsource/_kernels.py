@@ -10,13 +10,9 @@ boundary point is
 where the multiplier lam >= 0 makes (a - lam) s^2 + |b|^2 / 4 vanish.
 In s that is the cubic s^3 - p s^2 - r = 0 with p = (a + 2)/2 and
 r = |b|^2 / 8, whose largest root is the one positive root; it is taken
-in closed form (Cardano's formula, or its trigonometric form when the
-cubic has three real roots), polished by one Newton step in lam, and a*
-is finally clamped onto the boundary so the output never violates K.
-Cardano's formula is evaluated for every active point and the
-trigonometric form, with its arccos and cos, only for the points with
-three real roots, which overwrite theirs; each point gets the value of
-its own branch, so a batch equals the concatenation of its parts.
+in closed form by largest_cubic_root, polished by one Newton step in
+lam, and a* is finally clamped onto the boundary so the output never
+violates K.  The Huber source prox in prox.py solves the same cubic.
 """
 
 import numpy as np
@@ -47,22 +43,7 @@ def project_paraboloid(a, bx, by):
 
     av = a[idx]
     qv = q[idx]
-    m = (av + 2.0) / 6.0  # p / 3
-    m3 = m * m * m
-    r = 0.125 * qv
-    u = m3 + 0.5 * r
-    disc = r * (m3 + 0.25 * r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # disc >= 0 implies u >= r/4 >= 0, so this sum never cancels
-        t1 = np.cbrt(u + np.sqrt(np.maximum(disc, 0.0)))
-        s = t1 + m * m / t1 + m
-        # disc < 0 means three real roots and p < 0; the largest root
-        # belongs to the smallest angle
-        three = np.nonzero(disc < 0.0)[0]
-        if three.size:
-            m_three = m[three]
-            phi = np.arccos(np.clip(u[three] / -m3[three], -1.0, 1.0))
-            s[three] = m_three - 2.0 * m_three * np.cos(phi / 3.0)
+    s = largest_cubic_root((av + 2.0) / 6.0, 0.125 * qv)
 
     # one Newton step on (a - lam) s^2 + |b|^2/4 = 0 polishes the root
     lam = 2.0 * (s - 1.0)
@@ -77,3 +58,29 @@ def project_paraboloid(a, bx, by):
     out_bx[idx] = pbx
     out_by[idx] = pby
     return out_a, out_bx, out_by
+
+
+def largest_cubic_root(m, r):
+    """Largest real root of s^3 - 3 m s^2 - r = 0, elementwise, for r >= 0.
+
+    Cardano's formula is evaluated everywhere and the trigonometric
+    form, with its arccos and cos, only where the cubic has three real
+    roots (which needs m < 0), overwriting those; each entry gets the
+    value of its own branch, so a batch equals the concatenation of its
+    parts.  m = r = 0 gives NaN.
+    """
+    m3 = m * m * m
+    u = m3 + 0.5 * r
+    disc = r * (m3 + 0.25 * r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # disc >= 0 implies u >= r/4 >= 0, so this sum never cancels
+        t1 = np.cbrt(u + np.sqrt(np.maximum(disc, 0.0)))
+        s = t1 + m * m / t1 + m
+        # disc < 0 means three real roots and p < 0; the largest root
+        # belongs to the smallest angle
+        three = np.nonzero(disc < 0.0)[0]
+        if three.size:
+            m_three = m[three]
+            phi = np.arccos(np.clip(u[three] / -m3[three], -1.0, 1.0))
+            s[three] = m_three - 2.0 * m_three * np.cos(phi / 3.0)
+    return s

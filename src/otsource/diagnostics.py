@@ -78,7 +78,7 @@ def source_energy(z, model, delta, mesh):
         ze = z[mesh.tet_dofs]
         per_tet = np.sum(ze * ze, axis=1) + np.sum(ze, axis=1) ** 2
         return float(mesh.volumes @ per_tet) / (20.0 * delta)
-    w = spatial_slice_weights(mesh, 0)
+    w = spatial_slice_weights(mesh)
     zs = z.reshape(mesh.nt + 1, mesh.nsp)
     if model.kind == "l1l1":
         slice_cost = np.abs(zs) @ w
@@ -121,7 +121,7 @@ def time_profiles(state, mesh):
     node_mass[-1] = slab_mass[-1]
     node_mass[1:-1] = 0.5 * (slab_mass[:-1] + slab_mass[1:])
 
-    w = spatial_slice_weights(mesh, 0)
+    w = spatial_slice_weights(mesh)
     zs = np.asarray(state.z, dtype=float).reshape(nt + 1, mesh.nsp)
     pos = np.maximum(zs, 0.0) @ w
     neg = np.maximum(-zs, 0.0) @ w

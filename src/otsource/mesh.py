@@ -195,6 +195,7 @@ class SpaceTimeMesh:
             weights=np.full(3 * ntris, self.tri_area / 3.0),
             minlength=self.nsp,
         )
+        self._slice_w.flags.writeable = False
 
         self._divergence = None
         self._lumped = None
@@ -268,11 +269,6 @@ class SpaceTimeMesh:
 
     # -- slice helpers --------------------------------------------------------
 
-    def slice_dofs(self, k):
-        """Degree-of-freedom numbers of time slice k, contiguous."""
-        self._check_slice(k)
-        return np.arange(k * self.nsp, (k + 1) * self.nsp)
-
     def slice_load(self, density):
         """Integrals of the spatial hat functions against a P0 density.
 
@@ -298,10 +294,6 @@ class SpaceTimeMesh:
         w[0] = 0.5 * self.ht
         w[-1] = 0.5 * self.ht
         return w
-
-    def _check_slice(self, k):
-        if not 0 <= k <= self.nt:
-            raise ValueError(f"slice index {k} outside [0, {self.nt}]")
 
 
 def _step_differences(ends, h, n_dofs):
@@ -338,11 +330,11 @@ def gradient_p1(mesh, phi):
     return np.column_stack([grad_t @ phi, (grad_m @ phi).reshape(-1, 2)])
 
 
-def spatial_slice_weights(mesh, k):
-    """Nodal quadrature weights of time slice k.
+def spatial_slice_weights(mesh):
+    """Nodal quadrature weights of a time slice, the same on every slice.
 
     The weights integrate spatial P1 functions exactly:
-    sum_i w_i psi_i = integral of psi over the unit square.
+    sum_i w_i psi_i = integral of psi over the unit square.  Returns the
+    mesh's one read-only array, not a copy.
     """
-    mesh._check_slice(k)
-    return mesh._slice_w.copy()
+    return mesh._slice_w

@@ -17,9 +17,8 @@ functions), the squared-L2 shrinkage z/(1+g) is the prox of
 (1/(2 delta)) sum_i ell_i |z_i|.  Neither is the functional that
 diagnostics.source_energy reports for its model (ROADMAP item 4).  The
 default model applies the squared L2-in-time norm of a Huber cost of
-the slice, which has no closed form.  Its prox reduces to the root of
-one increasing, concave scalar dual per slice, which Newton's method
-from zero reaches monotonically in a handful of steps (see
+the slice.  Its prox reduces to the root of one increasing scalar dual
+per slice, found exactly by a few closed-form cubic solves (see
 _huber_slices_argmin); the slices decouple because the prox weighs
 penalty and distance of slice k by the same trapezoid time weight,
 which equals the metric wherever ell_i = tau_k w_i (every slice with
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .exceptions import NonConvergence, RootFindFailure
+from .exceptions import RootFindFailure
 
 SOURCE_KINDS = ("none", "l2l2", "l1l1", "l2huber")
 
@@ -100,7 +99,7 @@ def prox_source_l1l1(z, gamma):
     return np.sign(z) * np.maximum(np.abs(z) - 0.5 * gamma, 0.0)
 
 
-def prox_source_l2huber(z, gamma, beta, slice_weights, grad_tol_factor=1e-15, maxit=2000):
+def prox_source_l2huber(z, gamma, beta, slice_weights):
     """Slicewise proximal map of the squared Huber-integral penalty.
 
     For each time slice s solves
@@ -112,9 +111,7 @@ def prox_source_l2huber(z, gamma, beta, slice_weights, grad_tol_factor=1e-15, ma
     factor of penalty and metric cancels, so delta is not an argument.
     z is a P1 field whose slices are contiguous blocks of
     len(slice_weights) values.  Raises RootFindFailure when z holds a
-    NaN or an infinity, and NonConvergence when a slice exceeds the
-    iteration cap, which usually signals a step size gamma too
-    aggressive for the data scale.
+    NaN or an infinity.
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
@@ -128,15 +125,11 @@ def prox_source_l2huber(z, gamma, beta, slice_weights, grad_tol_factor=1e-15, ma
         )
     if not np.all(np.isfinite(z)):
         raise RootFindFailure("non-finite input to the Huber source prox")
-    if gamma == 0.0:
-        return z.copy()
-    nslices = z.size // w.size
-    zs = z.reshape(nslices, w.size)
-    out = _huber_slices_argmin(zs, w, gamma, beta, grad_tol_factor, maxit)
-    return out.reshape(z.shape)
+    zs = z.reshape(z.size // w.size, w.size)
+    return _huber_slices_argmin(zs, w, gamma, beta).reshape(z.shape)
 
 
-def _huber_slices_argmin(zs, w, gamma, beta, grad_tol_factor, maxit):
+def _huber_slices_argmin(zs, w, gamma, beta):
     """Exact slice minimizers through the scalar dual of the slice total.
 
     Writing T(s) = sum_i w_i r_beta(s_i), the slice objective
@@ -146,45 +139,43 @@ def _huber_slices_argmin(zs, w, gamma, beta, grad_tol_factor, maxit):
     fixed mu each node solves min_s mu r_beta(s) + 1/2 (s - z)^2, the
     Huber shrinkage s(mu) = z / (1 + mu/beta) where |z| <= beta + mu
     and z - mu sign(z) beyond.  The dual optimum is the root of
-    f(mu) = mu - 2 gamma T(s(mu)).
+    f(mu) = mu - 2 gamma T(s(mu)), which is increasing with f(0) <= 0.
 
-    Along mu, a node's term of dT/dmu is -w z^2 beta / (beta + mu)^3
-    in the quadratic regime and -w in the linear one; at the breakpoint
-    |z| = beta + mu it jumps from -w to -w beta / |z| >= -w.  So T is
-    convex, f is concave and increasing with f' >= 1, and f(0) <= 0:
-    Newton's method from mu = 0 rises monotonically to the root without
-    passing it, on every slice in the same vector pass.  Steps are
-    clamped to >= 0 and the iterate to the upper bound 2 gamma T(z),
-    which only guards rounding.  Iteration stops once every slice's
-    step is at most grad_tol_factor * max(1, 2 gamma T(z)); maxit caps
-    the Newton steps.
+    With the set L of linear-regime nodes held fixed, the dual
+    F_L(mu) = mu - 2 gamma T_L(mu) vanishes where x = beta + mu solves
+    the transport kernel's cubic x^3 - p x^2 - r = 0, with
+
+        p = beta + c,   c = 2 gamma (Lsum - beta W/2) / (1 + 2 gamma W),
+        r = gamma beta Q / (1 + 2 gamma W),
+
+    W and Lsum the sums of w and w |z| over L, Q that of w z^2 over the
+    rest.  L holds only nodes with |z| > beta, so p >= beta > 0, r >= 0
+    and Cardano's branch applies; mu = x - beta is taken as c + r/x^2,
+    which is exactly c when r = 0 (and 0 when gamma = 0).
+
+    Starting from mu = 0, each pass takes L = {|z| > beta + mu} and sets
+    mu to the root of F_L, until L repeats.  A node of L past its
+    breakpoint costs less in the linear regime than in the quadratic
+    one, so F_L >= f above the mu that L was taken at, where the two
+    agree and are <= 0: the new mu lies between that mu and the root of
+    f (the max only guards rounding), mu never decreases and L only
+    shrinks.  Once L repeats it is the regime set at mu, so f(mu) =
+    F_L(mu) = 0 exactly, after at most #{|z| > beta} + 1 passes.
     """
-    zs = np.asarray(zs, dtype=float)
     az = np.abs(zs)
-    sign = np.sign(zs)
-    z2b = zs * zs * beta
-
-    def shrink(mu):
-        """Node shrinkages s(mu) and the quadratic-regime mask."""
-        mu_c = mu[:, None]
-        quad = az <= beta + mu_c
-        return np.where(quad, zs / (1.0 + mu_c / beta), zs - mu_c * sign), quad
-
-    hi = 2.0 * gamma * (huber(zs, beta) @ w)
-    tol = grad_tol_factor * np.maximum(1.0, hi)
+    excess = az - 0.5 * beta
+    z2 = zs * zs
     mu = np.zeros(zs.shape[0])
-    step = hi  # what the error reports if maxit allows no step
-    for _ in range(maxit):
-        s, quad = shrink(mu)
-        f = mu - 2.0 * gamma * (huber(s, beta) @ w)
-        bmu = beta + mu[:, None]
-        slope = np.where(quad, z2b / (bmu * bmu * bmu), 1.0) @ w
-        step = np.minimum(np.maximum(-f / (1.0 + 2.0 * gamma * slope), 0.0), hi - mu)
-        mu += step
-        if np.all(step <= tol):
-            return shrink(mu)[0]
-    raise NonConvergence(
-        "Newton iteration for the Huber source prox dual hit its iteration cap",
-        maxit,
-        float(np.max(step)),
-    )
+    lin = az > beta
+    while True:
+        scale = 1.0 / (1.0 + 2.0 * gamma * (lin @ w))
+        c = 2.0 * gamma * scale * (np.where(lin, excess, 0.0) @ w)
+        r = gamma * beta * scale * (np.where(lin, 0.0, z2) @ w)
+        x = _kernels.largest_cubic_root((beta + c) / 3.0, r)
+        mu = np.maximum(c + r / (x * x), mu)
+        lin_next = az > beta + mu[:, None]
+        if np.array_equal(lin_next, lin):
+            break
+        lin = lin_next
+    mu_c = mu[:, None]
+    return np.where(lin, zs - mu_c * np.sign(zs), zs / (1.0 + mu_c / beta))

@@ -127,7 +127,7 @@ def initialize(mesh, bdata):
     blend = tmid[mesh.tet_slab]
     rho = (1.0 - blend) * bdata.ua[mesh.tet_tri] + blend * bdata.ub[mesh.tet_tri]
     m = np.zeros((mesh.n_tets, 2))
-    zslice = mesh.slice_load(bdata.ub - bdata.ua) / spatial_slice_weights(mesh, 0)
+    zslice = mesh.slice_load(bdata.ub - bdata.ua) / spatial_slice_weights(mesh)
     z = np.tile(zslice, mesh.nt + 1)
     return State(rho, m, z)
 
@@ -147,7 +147,7 @@ def _prox_f1(state, config, mesh):
             state.z,
             config.gamma,
             config.source.beta,
-            spatial_slice_weights(mesh, 0),
+            spatial_slice_weights(mesh),
         )
     return State(rho, m, z)
 

@@ -79,7 +79,7 @@ class TestRhs:
         n = 2 * mesh.nx * mesh.nx
         bdata = BoundaryData(np.zeros(n), np.ones(n))
         rhs = _rhs(mesh, _zero_state(mesh), bdata)
-        last = mesh.slice_dofs(mesh.nt)
+        last = slice(mesh.nt * mesh.nsp, None)
         assert abs(rhs[last].sum() - 1.0) < 1e-13
         mask = np.ones(mesh.n_dofs, dtype=bool)
         mask[last] = False

@@ -237,7 +237,7 @@ def test_huber_slice_cost_matches_manual_sum():
     rng = np.random.default_rng(3)
     z = rng.uniform(-1.0, 1.0, mesh.n_dofs)
     beta, delta = 0.3, 1.7
-    w = spatial_slice_weights(mesh, 0)
+    w = spatial_slice_weights(mesh)
     zs = z.reshape(mesh.nt + 1, mesh.nsp)
     costs = np.array([float(huber(row, beta) @ w) for row in zs])
     expected = float(mesh.time_weights() @ (costs * costs)) / delta

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otsource._kernels import project_paraboloid
+from otsource._kernels import largest_cubic_root, project_paraboloid
 from otsource.exceptions import RootFindFailure
 
 
@@ -150,3 +150,17 @@ def test_mixed_branches_equal_separate_calls():
     ):
         assert np.array_equal(out[three], part_three)
         assert np.array_equal(out[cardano], part_cardano)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_largest_cubic_root_against_companion_roots(sign):
+    # m >= 0 takes Cardano's branch only; m < 0 with small r has three
+    # real roots and takes the trigonometric one for some of them
+    rng = np.random.default_rng(5)
+    m = sign * 10.0 ** rng.uniform(-3.0, 2.0, 300)
+    r = 10.0 ** rng.uniform(-6.0, 3.0, 300) * np.abs(m) ** 3
+    s = largest_cubic_root(m, r)
+    for mi, ri, si in zip(m, r, s):
+        roots = np.roots([1.0, -3.0 * mi, 0.0, -ri])
+        expect = np.max(roots[np.abs(roots.imag) <= 1e-7 * np.abs(roots)].real)
+        assert abs(si - expect) <= 1e-8 * max(abs(expect), abs(mi))

@@ -149,7 +149,7 @@ def test_gradient_of_time_coordinate():
 
 def test_slice_weights_partition():
     mesh = build_mesh(2, 2)
-    w = spatial_slice_weights(mesh, 0)
+    w = spatial_slice_weights(mesh)
     assert abs(w.sum() - 1.0) < 1e-13
     # center vertex of the 2x2 grid touches triangles covering area 3/4
     assert abs(w[4] - 0.25) < 1e-13
@@ -174,8 +174,15 @@ def _lumped_p1_area_weights(nx):
 def test_slice_weights_match_independent_assembly():
     mesh = build_mesh(4, 2)
     expect = _lumped_p1_area_weights(4)
-    for k in (0, 1, 2):
-        assert np.allclose(spatial_slice_weights(mesh, k), expect, atol=1e-14)
+    assert np.allclose(spatial_slice_weights(mesh), expect, atol=1e-14)
+
+
+def test_slice_weights_are_one_read_only_array():
+    mesh = build_mesh(3, 2)
+    w = spatial_slice_weights(mesh)
+    assert spatial_slice_weights(mesh) is w
+    with pytest.raises(ValueError):
+        w[0] = 1.0
 
 
 def test_slice_load_constant_density():
@@ -221,17 +228,6 @@ def test_stiffness_annihilates_constants():
         assert np.max(np.abs(r)) < 1e-14
         # exactly symmetric as assembled, with no symmetrization step
         assert (K != K.T).nnz == 0
-
-
-def test_slice_dofs_shape_and_range():
-    mesh = build_mesh(3, 2)
-    for k in range(3):
-        d = mesh.slice_dofs(k)
-        assert d.shape == (mesh.nsp,)
-        assert d.min() >= 0 and d.max() < mesh.n_dofs
-    # slices tile the dof set
-    stacked = np.concatenate([mesh.slice_dofs(k) for k in range(3)])
-    assert len(np.unique(stacked)) == mesh.n_dofs
 
 
 def test_neumann_tet_dofs_share_tets():
