@@ -50,11 +50,12 @@ def transport_energy(state, mesh):
     eps_rho = 1e-12 * max(float(rho.max(initial=0.0)), 0.0)
     eps_m2 = (1e-12 * math.sqrt(float(m2.max(initial=0.0)))) ** 2
     moving = rho > eps_rho
-    still = ~moving & (rho >= -eps_rho) & (m2 <= eps_m2)
-    bad = ~moving & ~still
+    # an element is bad unless it moves or is vacuum (rho >= -eps_rho
+    # and m2 <= eps_m2); dividing in place of a masked copy costs less
+    bad = ~(moving | ((rho >= -eps_rho) & (m2 <= eps_m2)))
+    action = np.divide(m2, rho, out=np.zeros_like(rho), where=moving)
     vol = float(mesh.volumes[0])
-    energy = vol * float(np.sum(m2[moving] / rho[moving]))
-    return energy, vol * float(np.count_nonzero(bad))
+    return vol * float(action.sum()), vol * float(np.count_nonzero(bad))
 
 
 def source_energy(z, model, delta, mesh):
@@ -73,11 +74,14 @@ def source_energy(z, model, delta, mesh):
         return 0.0
     z = np.asarray(z, dtype=float)
     if model.kind == "l2l2":
-        # I_e z^2 = vol_e / 20 * (sum_v z_v^2 + (sum_v z_v)^2) on a
-        # tetrahedron e with vertex values z_v
+        # I_e z^2 = vol / 20 * (sum_v z_v^2 + (sum_v z_v)^2) on a
+        # tetrahedron e with vertex values z_v; every element has the
+        # volume vol, so both terms are summed over all elements at once
         ze = z[mesh.tet_dofs]
-        per_tet = np.sum(ze * ze, axis=1) + np.sum(ze, axis=1) ** 2
-        return float(mesh.volumes @ per_tet) / (20.0 * delta)
+        sums = ze @ np.ones(4)
+        squares = ze.ravel()
+        total = float(squares @ squares) + float(sums @ sums)
+        return mesh.volumes[0] * total / (20.0 * delta)
     w = spatial_slice_weights(mesh)
     zs = z.reshape(mesh.nt + 1, mesh.nsp)
     if model.kind == "l1l1":
