@@ -25,7 +25,7 @@ from .diagnostics import (
     time_profiles,
 )
 from .io import load_density, write_outputs
-from .mesh import SpaceTimeMesh, State, build_mesh, gradient_p1, spatial_slice_weights
+from .mesh import SpaceTimeMesh, State
 from .prox import (
     SourceModel,
     prox_source_l1l1,
@@ -47,10 +47,8 @@ __all__ = [
     "State",
     "TimeProfile",
     "assemble_system",
-    "build_mesh",
     "cg_solve",
     "energy_breakdown",
-    "gradient_p1",
     "initialize",
     "load_density",
     "mass_balance_defect",
@@ -60,7 +58,6 @@ __all__ = [
     "prox_source_l2l2",
     "prox_transport",
     "solve",
-    "spatial_slice_weights",
     "time_profiles",
     "write_outputs",
 ]

@@ -238,11 +238,12 @@ def _edge_correction(mesh, delta, edges):
     # the spatial triangles that touch the sides of the square
     on_side = np.zeros(mesh.nsp, dtype=bool)
     on_side[_side_points(n)] = True
-    near = np.flatnonzero(on_side[mesh.tri_sdofs].any(axis=1)[mesh.tet_tri])
+    touch = on_side[mesh.tri_sdofs].any(axis=1)
+    near = np.flatnonzero(np.broadcast_to(touch[None, :, None], (nt, touch.size, 3)))
     ends = loc[mesh.tet_dofs[near]]
     tet, step = np.nonzero((ends[:, :-1] >= 0) & (ends[:, 1:] >= 0))
     along_t = np.diff(mesh.tets[near], axis=1)[tet, step] == mesh.nsp
-    vol = mesh.volumes[0]
+    vol = mesh.tet_volume
     us, vs = [ends[tet, step]], [ends[tet, step + 1]]
     ws = [np.where(along_t, vol / mesh.ht**2, vol / mesh.hx**2)]
 
@@ -364,7 +365,7 @@ def continuity_defect(state, b, mesh):
     (n_tets, 2) momentum raveled in place.
     """
     bt, bm, _, _ = mesh.divergence_operators()
-    vol = mesh.volumes[0]
+    vol = mesh.tet_volume
     r = bt @ (vol * state.rho)
     r += bm @ (vol * state.m.ravel())
     r += mesh.lumped_mass() * state.z

@@ -154,7 +154,7 @@ def run_cli(argv=None):
     try:
         result = solve(bdata, config, progress=progress)
     except NonConvergence as exc:
-        print(f"error: inner solver failed: {exc}", file=sys.stderr)
+        print(f"error: the iteration diverged: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RootFindFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import boundary_vector
-from .mesh import spatial_slice_weights
 from .prox import huber
 
 
@@ -54,7 +53,7 @@ def transport_energy(state, mesh):
     # and m2 <= eps_m2); dividing in place of a masked copy costs less
     bad = ~(moving | ((rho >= -eps_rho) & (m2 <= eps_m2)))
     action = np.divide(m2, rho, out=np.zeros_like(rho), where=moving)
-    vol = float(mesh.volumes[0])
+    vol = mesh.tet_volume
     return vol * float(action.sum()), vol * float(np.count_nonzero(bad))
 
 
@@ -81,8 +80,8 @@ def source_energy(z, model, delta, mesh):
         sums = ze @ np.ones(4)
         squares = ze.ravel()
         total = float(squares @ squares) + float(sums @ sums)
-        return mesh.volumes[0] * total / (20.0 * delta)
-    w = spatial_slice_weights(mesh)
+        return mesh.tet_volume * total / (20.0 * delta)
+    w = mesh.slice_weights
     zs = z.reshape(mesh.nt + 1, mesh.nsp)
     if model.kind == "l1l1":
         slice_cost = np.abs(zs) @ w
@@ -117,15 +116,13 @@ def time_profiles(state, mesh):
     weights, so src_abs = src_pos + src_neg exactly.
     """
     nt = mesh.nt
-    slab_mass = np.bincount(
-        mesh.tet_slab, weights=mesh.volumes * state.rho, minlength=nt
-    ) / mesh.ht
+    slab_mass = mesh.tet_volume * mesh.prisms(state.rho).sum(axis=(1, 2)) / mesh.ht
     node_mass = np.empty(nt + 1)
     node_mass[0] = slab_mass[0]
     node_mass[-1] = slab_mass[-1]
     node_mass[1:-1] = 0.5 * (slab_mass[:-1] + slab_mass[1:])
 
-    w = spatial_slice_weights(mesh)
+    w = mesh.slice_weights
     zs = np.asarray(state.z, dtype=float).reshape(nt + 1, mesh.nsp)
     pos = np.maximum(zs, 0.0) @ w
     neg = np.maximum(-zs, 0.0) @ w

@@ -12,7 +12,10 @@ renormalized.
 
 Outputs are deterministic: floats carry 17 significant digits, lines
 end with a bare newline, and rerunning identical inputs reproduces the
-CSV files byte for byte.
+CSV files byte for byte at a fixed number of BLAS threads.  Under
+another thread count the projection's dense matrix products
+(assembly.SpectralPreconditioner) round differently, and the last bits
+of the iterates and the CSVs can change.
 """
 
 import hashlib
@@ -202,17 +205,12 @@ def _cells_from_p0(values, nx):
     return cells.reshape(nx, nx)
 
 
-def _per_tri_slabs(values, mesh):
-    """Average a per-tet P0 field over the 3 equal-volume tets of each prism."""
-    ntris = mesh.spatial_tris.shape[0]
-    return values.reshape(mesh.nt, ntris, 3).mean(axis=2)
-
-
 def _density_frames(result):
     """Per-time-node cell grids; the end nodes show the boundary data."""
     mesh = result.mesh
     nx, nt = mesh.nx, mesh.nt
-    slabs = _per_tri_slabs(result.state.rho, mesh)
+    # a prism's three tetrahedra have equal volumes
+    slabs = mesh.prisms(result.state.rho).mean(axis=2)
     frames = [_cells_from_p0(result.bdata.ua, nx)]
     for k in range(1, nt):
         frames.append(_cells_from_p0(0.5 * (slabs[k - 1] + slabs[k]), nx))
@@ -222,9 +220,8 @@ def _density_frames(result):
 
 def _momentum_frames(result):
     mesh = result.mesh
-    mx = _per_tri_slabs(result.state.m[:, 0], mesh)
-    my = _per_tri_slabs(result.state.m[:, 1], mesh)
-    mag = np.hypot(mx, my)
+    slabs = mesh.prisms(result.state.m).mean(axis=2)
+    mag = np.hypot(slabs[..., 0], slabs[..., 1])
     return [_cells_from_p0(mag[k], mesh.nx) for k in range(mesh.nt)]
 
 
@@ -321,21 +318,16 @@ def write_outputs(result, outdir, manifest=None):
                     f"{_fmt(row.src_pos)},{_fmt(row.src_neg)}\n"
                 )
 
-        for k, (grid, quant) in enumerate(
-            zip(rho_frames, _quantize(rho_frames, norm_rho))
-        ):
-            write_pgm(os.path.join(outdir, f"frame_{k:03d}.pgm"), quant)
-            _write_csv_grid(os.path.join(outdir, f"density_{k:03d}.csv"), grid)
-        for k, (grid, quant) in enumerate(
-            zip(mom_frames, _quantize(mom_frames, norm_mom))
-        ):
-            write_pgm(os.path.join(outdir, f"momentum_{k:03d}.pgm"), quant)
-            _write_csv_grid(os.path.join(outdir, f"momentum_{k:03d}.csv"), grid)
-        for k, (grid, quant) in enumerate(
-            zip(src_frames, _quantize([np.abs(f) for f in src_frames], norm_src))
-        ):
-            write_pgm(os.path.join(outdir, f"source_{k:03d}.pgm"), quant)
-            _write_csv_grid(os.path.join(outdir, f"source_{k:03d}.csv"), grid)
+        families = (
+            ("frame", "density", rho_frames, _quantize(rho_frames, norm_rho)),
+            ("momentum", "momentum", mom_frames, _quantize(mom_frames, norm_mom)),
+            ("source", "source", src_frames,
+             _quantize([np.abs(f) for f in src_frames], norm_src)),
+        )
+        for pgm, csv, frames, quantized in families:
+            for k, (grid, quant) in enumerate(zip(frames, quantized)):
+                write_pgm(os.path.join(outdir, f"{pgm}_{k:03d}.pgm"), quant)
+                _write_csv_grid(os.path.join(outdir, f"{csv}_{k:03d}.csv"), grid)
     except OSError:
         manifest.add("partial", "true")
         manifest.write(manifest_path)

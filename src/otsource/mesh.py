@@ -8,9 +8,9 @@ tetrahedra by the Kuhn rule keyed on global vertex indices; because the
 diagonal chosen on every quadrilateral prism face depends only on the
 indices of the shared edge, the resulting tetrahedral mesh is
 conforming.  The element geometry is closed form: every tetrahedron has
-volume hx^2 ht / 6, and the path through its four vertices steps once
-along each axis, so each gradient component of a P1 field is one
-difference of two nodal values over the grid spacing.
+the same volume, tet_volume = hx^2 ht / 6, and the path through its
+four vertices steps once along each axis, so each gradient component of
+a P1 field is one difference of two nodal values over the grid spacing.
 
 The mesh assembles these differences once, as the two sparse
 divergence operators of divergence_operators in the layout of State:
@@ -18,6 +18,12 @@ Bt acts on a P0 field and Bm on the (n_tets, 2) momentum raveled in
 place.  Their transposes, kept as views of the same arrays, are the
 gradient, and the mesh holds no other copy of it: the stiffness matrix
 is v (Bt Bt^T + Bm Bm^T) with v the element volume.
+
+Tetrahedra are numbered slab by slab, triangle by triangle: element
+e = (k * ntris + t) * 3 + p is Kuhn piece p of the prism over spatial
+triangle t in time slab k.  prisms(p0) views a P0 field in that
+(nt, ntris, 3) layout; code that needs an element's slab or triangle
+reads it from that view.
 
 Two element spaces are used throughout:
 
@@ -31,10 +37,11 @@ identified: the geometric grid keeps (nx+1)^2 points per time slice but
 only nx^2 of them are independent.
 
 Vertex indexing is time major: vertex (k, i, j) of the geometric grid,
-with i the x index and j the y index, has global number
-k*(nx+1)^2 + j*(nx+1) + i.  Degrees of freedom follow the same layout
-with the per-slice count reduced under identification, so the slice of
-a P1 field at time node k is the contiguous block [k*nsp, (k+1)*nsp).
+with i the x index and j the y index, sits at (k*ht, i*hx, j*hx) and
+has global number k*(nx+1)^2 + j*(nx+1) + i.  Degrees of freedom
+follow the same layout with the per-slice count reduced under
+identification, so the slice of a P1 field at time node k is the
+contiguous block [k*nsp, (k+1)*nsp).
 """
 
 from dataclasses import dataclass
@@ -66,7 +73,9 @@ class SpaceTimeMesh:
     """Conforming tetrahedral mesh of [0,1] x (0,1)^2.
 
     The P1 gradient is assembled once, on first use, as
-    divergence_operators; stiffness_matrix and gradient_p1 read it.
+    divergence_operators; stiffness_matrix and the projection read it.
+    The element volume is one scalar, and an element's time slab and
+    spatial triangle are axes of prisms, not stored index arrays.
 
     Parameters
     ----------
@@ -79,8 +88,6 @@ class SpaceTimeMesh:
 
     Attributes
     ----------
-    vertices : (n_verts_geom, 3) float
-        Geometric vertex coordinates (t, x, y).
     tets : (n_tets, 4) int
         Geometric vertex numbers of each tetrahedron in Kuhn path order:
         consecutive vertices differ by one grid step along one axis,
@@ -90,18 +97,17 @@ class SpaceTimeMesh:
         Degree-of-freedom numbers of the tetrahedron vertices.  With
         Neumann boundaries every vertex is its own dof and this is the
         tets array itself, shared, not a copy: treat both as read-only.
-    volumes : (n_tets,) float
-        Tetrahedron volumes, all equal to hx^2 ht / 6; code that needs
-        the value reads volumes[0].
-    tet_slab : (n_tets,) int
-        Time interval each tetrahedron belongs to.
-    tet_tri : (n_tets,) int
-        Spatial triangle each tetrahedron projects onto.
+    tet_volume : float
+        The volume hx^2 ht / 6 shared by every tetrahedron.
     spatial_tris : (2*nx*nx, 3) int
         Per-slice spatial triangles (slice-local geometric numbering);
         cell (i, j) owns triangles 2*(j*nx+i) and 2*(j*nx+i)+1.
     tri_sdofs : (2*nx*nx, 3) int
         Spatial degrees of freedom of each spatial triangle.
+    slice_weights : (nsp,) float, read-only
+        Nodal quadrature weights of a time slice, the same on every
+        slice: sum_i w_i psi_i is the integral of a spatial P1 function
+        psi over the unit square.
     """
 
     def __init__(self, nx, nt, bc="neumann"):
@@ -119,16 +125,6 @@ class SpaceTimeMesh:
 
         npt = nx + 1
         pslice = npt * npt
-        kk, jj, ii = np.meshgrid(
-            np.arange(nt + 1), np.arange(npt), np.arange(npt), indexing="ij"
-        )
-        self.vertices = np.column_stack(
-            [
-                kk.ravel() * self.ht,
-                ii.ravel() * self.hx,
-                jj.ravel() * self.hx,
-            ]
-        )
 
         # spatial triangulation; the split diagonal runs from the cell
         # corner (i, j) to (i+1, j+1), the lexicographically smallest
@@ -169,12 +165,9 @@ class SpaceTimeMesh:
         self.tets = tets.reshape(-1, 4)
         self.n_tets = self.tets.shape[0]
 
-        self.tet_slab = np.repeat(np.arange(nt), 3 * ntris)
-        self.tet_tri = np.tile(np.repeat(np.arange(ntris), 3), nt)
-
         # each prism of volume tri_area * ht splits into three tetrahedra
         # of equal volume
-        self.volumes = np.full(self.n_tets, self.tri_area * self.ht / 3.0)
+        self.tet_volume = self.tri_area * self.ht / 3.0
 
         # degrees of freedom
         if bc == "neumann":
@@ -190,12 +183,12 @@ class SpaceTimeMesh:
         self.n_dofs = self.nsp * (nt + 1)
         self.tri_sdofs = sdof[tris]
 
-        self._slice_w = np.bincount(
+        self.slice_weights = np.bincount(
             self.tri_sdofs.ravel(),
             weights=np.full(3 * ntris, self.tri_area / 3.0),
             minlength=self.nsp,
         )
-        self._slice_w.flags.writeable = False
+        self.slice_weights.flags.writeable = False
 
         self._divergence = None
         self._lumped = None
@@ -251,7 +244,7 @@ class SpaceTimeMesh:
         any summation order.
         """
         bt, bm, grad_t, grad_m = self.divergence_operators()
-        return self.volumes[0] * (bt @ grad_t + bm @ grad_m)
+        return self.tet_volume * (bt @ grad_t + bm @ grad_m)
 
     def lumped_mass(self):
         """Integral of each hat function, the nodal weights ell.
@@ -262,10 +255,20 @@ class SpaceTimeMesh:
         if self._lumped is None:
             self._lumped = np.bincount(
                 self.tet_dofs.ravel(),
-                weights=np.repeat(self.volumes / 4.0, 4),
+                weights=np.full(4 * self.n_tets, self.tet_volume / 4.0),
                 minlength=self.n_dofs,
             )
         return self._lumped
+
+    def prisms(self, p0):
+        """The (nt, ntris, 3, ...) view of a P0 field.
+
+        Index [k, t, p] is tetrahedron e = (k * ntris + t) * 3 + p, Kuhn
+        piece p of the prism over spatial triangle t in time slab k;
+        trailing axes, such as the momentum's two components, are kept.
+        A reshape, so writing to the view writes to p0.
+        """
+        return p0.reshape(self.nt, self.spatial_tris.shape[0], 3, *p0.shape[1:])
 
     # -- slice helpers --------------------------------------------------------
 
@@ -307,34 +310,3 @@ def _step_differences(ends, h, n_dofs):
         (np.tile([-1.0 / h, 1.0 / h], n), ends.ravel(), np.arange(0, 2 * n + 1, 2)),
         shape=(n_dofs, n),
     )
-
-
-def build_mesh(nx, nt, bc="neumann"):
-    """Construct a SpaceTimeMesh; see the class for conventions."""
-    return SpaceTimeMesh(nx, nt, bc)
-
-
-def gradient_p1(mesh, phi):
-    """Per-element gradient of a P1 field, shape (n_tets, 3).
-
-    Columns are the (t, x, y) components, read through the transposed
-    views of divergence_operators.  Exact for the interpolant: affine
-    fields reproduce their constant gradient on every element.  The
-    projection applies the two views directly instead, without this
-    stacking.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (mesh.n_dofs,):
-        raise ValueError(f"expected {mesh.n_dofs} nodal values, got {phi.shape}")
-    _, _, grad_t, grad_m = mesh.divergence_operators()
-    return np.column_stack([grad_t @ phi, (grad_m @ phi).reshape(-1, 2)])
-
-
-def spatial_slice_weights(mesh):
-    """Nodal quadrature weights of a time slice, the same on every slice.
-
-    The weights integrate spatial P1 functions exactly:
-    sum_i w_i psi_i = integral of psi over the unit square.  Returns the
-    mesh's one read-only array, not a copy.
-    """
-    return mesh._slice_w

@@ -36,7 +36,7 @@ import numpy as np
 from .assembly import assemble_system, boundary_vector, project_continuity
 from .diagnostics import source_energy, transport_energy
 from .exceptions import NonConvergence
-from .mesh import SpaceTimeMesh, State, spatial_slice_weights
+from .mesh import SpaceTimeMesh, State
 from .prox import (
     SourceModel,
     prox_source_l1l1,
@@ -109,7 +109,7 @@ def weighted_norm(rho, m, z, mesh, delta):
     P1 source.  Each block is one dot product.
     """
     mr = m.ravel()
-    sq = mesh.volumes[0] * (float(rho @ rho) + float(mr @ mr))
+    sq = mesh.tet_volume * (float(rho @ rho) + float(mr @ mr))
     sq += float(mesh.lumped_mass() @ (z * z)) / delta
     return np.sqrt(sq)
 
@@ -123,11 +123,11 @@ def initialize(mesh, bdata):
     exactly.  The triple is made feasible by one projection inside
     solve(); on matching endpoints z starts at zero.
     """
-    tmid = (np.arange(mesh.nt) + 0.5) * mesh.ht
-    blend = tmid[mesh.tet_slab]
-    rho = (1.0 - blend) * bdata.ua[mesh.tet_tri] + blend * bdata.ub[mesh.tet_tri]
+    tmid = ((np.arange(mesh.nt) + 0.5) * mesh.ht)[:, None]
+    rho = np.empty(mesh.n_tets)
+    mesh.prisms(rho)[...] = ((1.0 - tmid) * bdata.ua + tmid * bdata.ub)[:, :, None]
     m = np.zeros((mesh.n_tets, 2))
-    zslice = mesh.slice_load(bdata.ub - bdata.ua) / spatial_slice_weights(mesh)
+    zslice = mesh.slice_load(bdata.ub - bdata.ua) / mesh.slice_weights
     z = np.tile(zslice, mesh.nt + 1)
     return State(rho, m, z)
 
@@ -147,7 +147,7 @@ def _prox_f1(state, config, mesh):
             state.z,
             config.gamma,
             config.source.beta,
-            spatial_slice_weights(mesh),
+            mesh.slice_weights,
         )
     return State(rho, m, z)
 

@@ -303,12 +303,8 @@ def test_criterion_01_mass_balance(report, runs):
     worst = 0.0
     for result in runs.values():
         mesh = result.mesh
-        w0 = mesh.volumes[mesh.tet_slab == 0]
-        mass = max(
-            float(np.sum(w0 * result.bdata.ua[mesh.tet_tri[mesh.tet_slab == 0]]))
-            * mesh.nt,
-            float(np.sum(w0 * result.bdata.ub[mesh.tet_tri[mesh.tet_slab == 0]]))
-            * mesh.nt,
+        mass = mesh.tri_area * max(
+            float(np.sum(result.bdata.ua)), float(np.sum(result.bdata.ub))
         )
         defect = max(s.mass_balance_defect for s in result.stats)
         worst = max(worst, defect / mass)
@@ -432,11 +428,12 @@ def test_criterion_05_pure_blending(report, runs):
     ua = _tris_from_cells(ga)
     ub = _tris_from_cells(gb)
     nt = mesh.nt
-    vol, tet_slab, tet_tri = mesh.volumes, mesh.tet_slab, mesh.tet_tri
-    tmid = (np.arange(nt) + 0.5) / nt
-    blend = (1.0 - tmid[tet_slab]) * ua[tet_tri] + tmid[tet_slab] * ub[tet_tri]
-    gap = np.bincount(tet_slab, weights=vol * np.abs(result.state.rho - blend), minlength=nt) * nt
-    strip_mass = float(np.bincount(tet_slab, weights=vol * ua[tet_tri], minlength=nt)[0]) * nt
+    tmid = ((np.arange(nt) + 0.5) / nt)[:, None, None]
+    blend = (1.0 - tmid) * ua[:, None] + tmid * ub[:, None]
+    # slab masses: sum of tet_volume * |rho - blend| over a slab, over ht
+    dev = np.abs(mesh.prisms(result.state.rho) - blend)
+    gap = mesh.tet_volume * dev.sum(axis=(1, 2)) * nt
+    strip_mass = mesh.tri_area * float(np.sum(ua))
     gap_frac = float(gap.max()) / strip_mass
 
     ok = frac <= 0.05 and gap_frac <= 0.05 and result.wall_seconds < 600

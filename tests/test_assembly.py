@@ -13,7 +13,7 @@ from otsource.assembly import (
     edge_nodes,
 )
 from otsource.exceptions import NonConvergence
-from otsource.mesh import SpaceTimeMesh, State, build_mesh
+from otsource.mesh import SpaceTimeMesh, State
 from otsource.solver import SolverConfig, solve
 
 
@@ -35,17 +35,17 @@ def _zero_bdata(mesh):
 
 class TestSystem:
     def test_symmetry_exact(self):
-        system = assemble_system(build_mesh(2, 2), 1.0)
+        system = assemble_system(SpaceTimeMesh(2, 2), 1.0)
         diff = (system.matrix - system.matrix.T).tocoo()
         assert max(np.abs(diff.data), default=0.0) == 0.0
 
     def test_positive_definite_small(self):
-        system = assemble_system(build_mesh(2, 2), 1.0)
+        system = assemble_system(SpaceTimeMesh(2, 2), 1.0)
         eigs = np.linalg.eigvalsh(system.matrix.toarray())
         assert eigs.min() > 0
 
     def test_constant_vector_hits_mass_term(self):
-        mesh = build_mesh(3, 2)
+        mesh = SpaceTimeMesh(3, 2)
         for delta in (0.5, 1.0, 4.0):
             system = assemble_system(mesh, delta)
             out = system.matrix @ np.ones(mesh.n_dofs)
@@ -55,27 +55,28 @@ class TestSystem:
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
-            assemble_system(build_mesh(2, 2), 0.0)
+            assemble_system(SpaceTimeMesh(2, 2), 0.0)
 
 
 class TestRhs:
     def test_zero_everything(self):
-        mesh = build_mesh(2, 2)
+        mesh = SpaceTimeMesh(2, 2)
         rhs = _rhs(mesh, _zero_state(mesh), _zero_bdata(mesh))
         assert np.array_equal(rhs, np.zeros(mesh.n_dofs))
 
     def test_unit_density_pairs_with_time_gradient(self):
         # rho = 1, m = 0, z = 0, no boundary data: rhs_i = -int d_t psi_i;
         # dotting with nodal values of t gives -int d_t t = -1
-        mesh = build_mesh(3, 3)
+        mesh = SpaceTimeMesh(3, 3)
         state = _zero_state(mesh)
         state.rho[:] = 1.0
         rhs = _rhs(mesh, state, _zero_bdata(mesh))
-        t = mesh.vertices[:, 0]
+        # node k*(nx+1)^2 + j*(nx+1) + i sits at time k*ht
+        t = np.repeat(np.arange(mesh.nt + 1) * mesh.ht, mesh.nsp)
         assert abs(t @ rhs - (-1.0)) < 1e-13
 
     def test_unit_terminal_density(self):
-        mesh = build_mesh(2, 2)
+        mesh = SpaceTimeMesh(2, 2)
         n = 2 * mesh.nx * mesh.nx
         bdata = BoundaryData(np.zeros(n), np.ones(n))
         rhs = _rhs(mesh, _zero_state(mesh), bdata)
@@ -86,7 +87,7 @@ class TestRhs:
         assert np.array_equal(rhs[mask], np.zeros(mask.sum()))
 
     def test_boundary_vector_masses(self):
-        mesh = build_mesh(3, 2)
+        mesh = SpaceTimeMesh(3, 2)
         n = 2 * mesh.nx * mesh.nx
         bdata = BoundaryData(np.full(n, 0.7), np.full(n, 1.1))
         bvec = boundary_vector(mesh, bdata)
@@ -95,12 +96,12 @@ class TestRhs:
 
 class TestCg:
     def test_zero_rhs(self):
-        system = assemble_system(build_mesh(2, 2), 1.0)
+        system = assemble_system(SpaceTimeMesh(2, 2), 1.0)
         phi = cg_solve(system, np.zeros(system.matrix.shape[0]))
         assert np.array_equal(phi, np.zeros_like(phi))
 
     def test_recovers_manufactured_solution(self):
-        mesh = build_mesh(2, 2)
+        mesh = SpaceTimeMesh(2, 2)
         system = assemble_system(mesh, 1.0)
         rng = np.random.default_rng(0)
         w = rng.standard_normal(mesh.n_dofs)
@@ -109,7 +110,7 @@ class TestCg:
         assert np.linalg.norm(phi - w) < 1e-8
 
     def test_constant_solution_for_mass_rhs(self):
-        mesh = build_mesh(2, 2)
+        mesh = SpaceTimeMesh(2, 2)
         for delta in (1.0, 2.5):
             system = assemble_system(mesh, delta)
             rhs = mesh.lumped_mass()
@@ -119,7 +120,7 @@ class TestCg:
             assert np.allclose(phi, 2.0 / delta, atol=1e-9)
 
     def test_nonconvergence_raises(self):
-        mesh = build_mesh(3, 3)
+        mesh = SpaceTimeMesh(3, 3)
         system = assemble_system(mesh, 1e-6)
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(mesh.n_dofs)
@@ -128,7 +129,7 @@ class TestCg:
         assert info.value.iterations == 2
 
     def test_a_norm_error_monotone(self):
-        mesh = build_mesh(2, 3)
+        mesh = SpaceTimeMesh(2, 3)
         system = assemble_system(mesh, 1.0)
         rng = np.random.default_rng(2)
         rhs = rng.standard_normal(mesh.n_dofs)
@@ -152,7 +153,7 @@ def test_cold_cg_iterations_bounded(bc):
     # gate's mesh sizes, over the gate's range of delta
     rng = np.random.default_rng(4)
     for nx, nt, delta in ((32, 8, 0.01), (32, 8, 1.0), (32, 8, 10.0), (64, 4, 1.0)):
-        system = assemble_system(build_mesh(nx, nt, bc), delta)
+        system = assemble_system(SpaceTimeMesh(nx, nt, bc), delta)
         rhs = rng.standard_normal(system.matrix.shape[0])
         iters = []
         phi = cg_solve(system, rhs, tol=1e-9, callback=iters.append)
@@ -163,7 +164,7 @@ def test_cold_cg_iterations_bounded(bc):
 def test_preconditioner_inverts_periodic_system():
     # with periodic boundaries the tensor-product model is the assembled
     # operator itself, so the preconditioner is its exact inverse
-    mesh = build_mesh(5, 3, "periodic")
+    mesh = SpaceTimeMesh(5, 3, "periodic")
     system = assemble_system(mesh, 0.7)
     w = np.random.default_rng(5).standard_normal(mesh.n_dofs)
     assert np.allclose(system.precond(system.matrix @ w), w, atol=1e-12)
@@ -179,7 +180,7 @@ def _dense_model_inverse(system):
 def test_exact_solve_residual(bc, nx):
     rng = np.random.default_rng(nx)
     for nt in (2, 3, 8):
-        mesh = build_mesh(nx, nt, bc)
+        mesh = SpaceTimeMesh(nx, nt, bc)
         for delta in (0.01, 1.0, 10.0):
             system = assemble_system(mesh, delta)
             f = rng.standard_normal(mesh.n_dofs)
@@ -193,7 +194,7 @@ def test_edge_nodes_are_the_support_of_the_model_defect(bc):
     # A - P vanishes outside the rows and columns of edge_nodes, and is
     # nonzero in every one of those rows; _edge_correction is its block
     for nx, nt, delta in ((2, 2, 1.0), (3, 2, 0.7), (3, 3, 5.0), (5, 3, 0.05)):
-        mesh = build_mesh(nx, nt, bc)
+        mesh = SpaceTimeMesh(nx, nt, bc)
         system = assemble_system(mesh, delta)
         defect = system.matrix.toarray() - np.linalg.inv(_dense_model_inverse(system))
         scale = np.abs(system.matrix).max()
@@ -214,7 +215,7 @@ def test_edge_nodes_are_the_support_of_the_model_defect(bc):
 
 def test_closed_form_model_inverse_on_edges():
     for nx, nt, delta in ((2, 2, 1.0), (3, 4, 0.3), (6, 3, 10.0)):
-        mesh = build_mesh(nx, nt)
+        mesh = SpaceTimeMesh(nx, nt)
         system = assemble_system(mesh, delta)
         edges = edge_nodes(mesh)
         columns = np.column_stack(
@@ -226,7 +227,7 @@ def test_closed_form_model_inverse_on_edges():
 
 class TestDefect:
     def test_zero_state_defect_is_boundary(self):
-        mesh = build_mesh(2, 2)
+        mesh = SpaceTimeMesh(2, 2)
         n = 2 * mesh.nx * mesh.nx
         bdata = BoundaryData(np.zeros(n), np.ones(n))
         defect = continuity_defect(_zero_state(mesh), boundary_vector(mesh, bdata), mesh)
@@ -256,7 +257,7 @@ def test_continuity_defect_matches_element_assembly(bc, nx, nt):
     # reference: each element's pairing of (rho, m) with the hat-function
     # gradients from the inverse of its edge matrix, as for an
     # unstructured mesh, scattered to the dofs
-    mesh = build_mesh(nx, nt, bc=bc)
+    mesh = SpaceTimeMesh(nx, nt, bc=bc)
     rng = np.random.default_rng(nx * 10 + nt)
     state = State(
         rng.standard_normal(mesh.n_tets),
@@ -265,7 +266,9 @@ def test_continuity_defect_matches_element_assembly(bc, nx, nt):
     )
     n = 2 * nx * nx
     b = boundary_vector(mesh, BoundaryData(rng.random(n), rng.random(n)))
-    coords = mesh.vertices[mesh.tets]
+    # node k*(nx+1)^2 + j*(nx+1) + i sits at (k*ht, i*hx, j*hx)
+    k, j, i = np.unravel_index(mesh.tets, (nt + 1, nx + 1, nx + 1))
+    coords = np.stack([k * mesh.ht, i * mesh.hx, j * mesh.hx], axis=-1)
     edges = coords[:, 1:] - coords[:, :1]
     inv = np.linalg.inv(edges)
     basis = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from otsource import _kernels
+from otsource import _kernels, cli
 from otsource.cli import DEFAULTS, run_cli
-from otsource.exceptions import RootFindFailure
+from otsource.exceptions import NonConvergence, RootFindFailure
 from otsource.io import file_sha256, read_pgm
 from otsource.prox import SourceModel
 from otsource.solver import SolverConfig
@@ -107,6 +107,21 @@ def test_kernel_root_find_failure_exit_1(moving_pair, monkeypatch, capsys):
     code = run_cli(["--a", a, "--b", b, *BASE])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: paraboloid projection")
+
+
+def test_diverging_iteration_exit_1(moving_pair, monkeypatch, capsys):
+    # the one NonConvergence solve raises: a non-finite DR residual
+    def diverging(bdata, config, progress=None):
+        raise NonConvergence("DR fixed-point residual is not finite at iteration 7",
+                             7, np.nan)
+
+    monkeypatch.setattr(cli, "solve", diverging)
+    a, b = moving_pair
+    code = run_cli(["--a", a, "--b", b, *BASE])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the iteration diverged: DR fixed-point residual")
+    assert "inner solver" not in err
 
 
 def test_identical_endpoints_converge_exit_0(flat_pair, capsys):

@@ -308,7 +308,7 @@ def test_manifest_records_mesh_and_convergence(tiny_result, tmp_path):
     )
     write_outputs(bad, str(tmp_path / "bad"))
     text = (tmp_path / "bad" / "manifest.txt").read_text()
-    expected = tiny_result.mesh.volumes[0] + tiny_result.mesh.volumes[5]
+    expected = 2 * tiny_result.mesh.tet_volume
     assert f"\ninfeasible_volume={format(expected, '.17g')}\n" in text
 
 

@@ -2,25 +2,45 @@ import numpy as np
 import pytest
 
 from otsource.diagnostics import source_energy
-from otsource.mesh import SpaceTimeMesh, build_mesh, gradient_p1, spatial_slice_weights
+from otsource.mesh import SpaceTimeMesh
 from otsource.prox import SourceModel
 
 
+def _node_coords(mesh):
+    """(t, x, y) of every geometric node, from the documented numbering.
+
+    Node k*(nx+1)^2 + j*(nx+1) + i sits at (k*ht, i*hx, j*hx).
+    """
+    n = mesh.nx + 1
+    k, j, i = np.unravel_index(np.arange((mesh.nt + 1) * n * n), (mesh.nt + 1, n, n))
+    return np.column_stack([k * mesh.ht, i * mesh.hx, j * mesh.hx])
+
+
+def _gradient(mesh, phi):
+    """Per-element (t, x, y) gradient of a P1 field, shape (n_tets, 3).
+
+    Read through the transposed views of divergence_operators, which the
+    projection applies to the potential.
+    """
+    _, _, grad_t, grad_m = mesh.divergence_operators()
+    return np.column_stack([grad_t @ phi, (grad_m @ phi).reshape(-1, 2)])
+
+
 def test_counts_small():
-    mesh = build_mesh(2, 2)
+    mesh = SpaceTimeMesh(2, 2)
     assert mesh.n_tets == 48
     assert mesh.n_dofs == 27
     assert mesh.nsp == 9
 
 
 def test_counts_rectangular():
-    mesh = build_mesh(4, 3)
+    mesh = SpaceTimeMesh(4, 3)
     assert mesh.n_tets == 6 * 16 * 3
     assert mesh.n_dofs == 25 * 4
 
 
 def test_counts_periodic():
-    mesh = build_mesh(2, 2, bc="periodic")
+    mesh = SpaceTimeMesh(2, 2, bc="periodic")
     assert mesh.n_tets == 48
     assert mesh.nsp == 4
     assert mesh.n_dofs == 4 * 3
@@ -28,18 +48,18 @@ def test_counts_periodic():
 
 def test_volumes_positive_and_sum_to_one():
     for bc in ("neumann", "periodic"):
-        mesh = build_mesh(3, 2, bc=bc)
-        assert np.all(mesh.volumes > 0)
-        assert abs(mesh.volumes.sum() - 1.0) < 1e-13
+        mesh = SpaceTimeMesh(3, 2, bc=bc)
+        assert mesh.tet_volume > 0
+        assert abs(mesh.tet_volume * mesh.n_tets - 1.0) < 1e-13
 
 
 def test_bad_args_rejected():
     with pytest.raises(ValueError):
-        build_mesh(1, 2)
+        SpaceTimeMesh(1, 2)
     with pytest.raises(ValueError):
-        build_mesh(2, 0)
+        SpaceTimeMesh(2, 0)
     with pytest.raises(ValueError):
-        build_mesh(2, 2, bc="dirichlet")
+        SpaceTimeMesh(2, 2, bc="dirichlet")
 
 
 def _facet_counts(mesh):
@@ -54,8 +74,8 @@ def _facet_counts(mesh):
 def test_facet_conformity():
     # every triangular facet is shared by exactly two tets or lies on the
     # boundary of the space-time box; no hanging facets
-    mesh = build_mesh(3, 2)
-    verts = mesh.vertices
+    mesh = SpaceTimeMesh(3, 2)
+    verts = _node_coords(mesh)
     for facet, cnt in _facet_counts(mesh).items():
         assert cnt in (1, 2)
         if cnt == 1:
@@ -69,17 +89,16 @@ def test_facet_conformity():
 
 def test_facet_conformity_periodic_geometry_unchanged():
     # periodic identification only remaps dofs; the geometric mesh is identical
-    a = build_mesh(2, 2)
-    b = build_mesh(2, 2, bc="periodic")
+    a = SpaceTimeMesh(2, 2)
+    b = SpaceTimeMesh(2, 2, bc="periodic")
     assert np.array_equal(a.tets, b.tets)
-    assert np.allclose(a.vertices, b.vertices)
 
 
 def test_gradient_exact_for_affine():
-    mesh = build_mesh(3, 3)
-    t, x, y = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]
+    mesh = SpaceTimeMesh(3, 3)
+    t, x, y = _node_coords(mesh).T
     phi = 0.7 - 1.3 * t + 0.4 * x + 2.2 * y
-    gt, gx, gy = gradient_p1(mesh, phi).T
+    gt, gx, gy = _gradient(mesh, phi).T
     assert np.allclose(gt, -1.3, atol=1e-13)
     assert np.allclose(gx, 0.4, atol=1e-13)
     assert np.allclose(gy, 2.2, atol=1e-13)
@@ -97,7 +116,7 @@ def _element_basis(mesh):
     basis[e, c, v] is the c-component of the gradient of the hat at
     vertex v of element e, vol[e] its volume.
     """
-    coords = mesh.vertices[mesh.tets]
+    coords = _node_coords(mesh)[mesh.tets]
     edges = coords[:, 1:] - coords[:, :1]
     inv = np.linalg.inv(edges)
     basis = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
@@ -106,31 +125,31 @@ def _element_basis(mesh):
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
 def test_gradient_matches_inverse_jacobian(bc):
-    mesh = build_mesh(3, 2, bc=bc)
+    mesh = SpaceTimeMesh(3, 2, bc=bc)
     basis, vol = _element_basis(mesh)
     phi = np.random.default_rng(3).standard_normal(mesh.n_dofs)
     expect = np.einsum("ecv,ev->ec", basis, phi[mesh.tet_dofs])
-    assert np.allclose(gradient_p1(mesh, phi), expect, rtol=0.0, atol=1e-12)
+    assert np.allclose(_gradient(mesh, phi), expect, rtol=0.0, atol=1e-12)
     bt, bm, _, _ = mesh.divergence_operators()
     assert bt.nnz == 2 * mesh.n_tets
     assert bm.nnz == 4 * mesh.n_tets
-    assert np.allclose(mesh.volumes, mesh.hx**2 * mesh.ht / 6.0, rtol=1e-15, atol=0.0)
-    assert np.allclose(vol, mesh.volumes, rtol=1e-13, atol=0.0)
+    assert mesh.tet_volume == pytest.approx(mesh.hx**2 * mesh.ht / 6, rel=1e-15, abs=0)
+    assert np.allclose(vol, mesh.tet_volume, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
 def test_gradient_p1_matches_inverse_jacobian(bc, nx, nt):
-    mesh = build_mesh(nx, nt, bc=bc)
+    mesh = SpaceTimeMesh(nx, nt, bc=bc)
     basis, _ = _element_basis(mesh)
     phi = np.random.default_rng(nx * 10 + nt).standard_normal(mesh.n_dofs)
     expect = np.einsum("ecv,ev->ec", basis, phi[mesh.tet_dofs])
-    assert np.allclose(gradient_p1(mesh, phi), expect, rtol=0.0, atol=1e-12)
+    assert np.allclose(_gradient(mesh, phi), expect, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
 def test_stiffness_matches_element_assembly(bc, nx, nt):
     # reference: the sum over elements of vol grad(hat_i) . grad(hat_j)
-    mesh = build_mesh(nx, nt, bc=bc)
+    mesh = SpaceTimeMesh(nx, nt, bc=bc)
     basis, vol = _element_basis(mesh)
     local = vol[:, None, None] * np.einsum("eci,ecj->eij", basis, basis)
     dofs = mesh.tet_dofs
@@ -141,15 +160,15 @@ def test_stiffness_matches_element_assembly(bc, nx, nt):
 
 
 def test_gradient_of_time_coordinate():
-    mesh = build_mesh(2, 4)
-    g = gradient_p1(mesh, mesh.vertices[:, 0])
+    mesh = SpaceTimeMesh(2, 4)
+    g = _gradient(mesh, _node_coords(mesh)[:, 0])
     assert np.allclose(g[:, 0], 1.0, atol=1e-14)
     assert np.allclose(g[:, 1:], 0.0, atol=1e-14)
 
 
 def test_slice_weights_partition():
-    mesh = build_mesh(2, 2)
-    w = spatial_slice_weights(mesh)
+    mesh = SpaceTimeMesh(2, 2)
+    w = mesh.slice_weights
     assert abs(w.sum() - 1.0) < 1e-13
     # center vertex of the 2x2 grid touches triangles covering area 3/4
     assert abs(w[4] - 0.25) < 1e-13
@@ -172,28 +191,27 @@ def _lumped_p1_area_weights(nx):
 
 
 def test_slice_weights_match_independent_assembly():
-    mesh = build_mesh(4, 2)
+    mesh = SpaceTimeMesh(4, 2)
     expect = _lumped_p1_area_weights(4)
-    assert np.allclose(spatial_slice_weights(mesh), expect, atol=1e-14)
+    assert np.allclose(mesh.slice_weights, expect, atol=1e-14)
 
 
 def test_slice_weights_are_one_read_only_array():
-    mesh = build_mesh(3, 2)
-    w = spatial_slice_weights(mesh)
-    assert spatial_slice_weights(mesh) is w
+    mesh = SpaceTimeMesh(3, 2)
+    w = mesh.slice_weights
     with pytest.raises(ValueError):
         w[0] = 1.0
 
 
 def test_slice_load_constant_density():
-    mesh = build_mesh(3, 2)
+    mesh = SpaceTimeMesh(3, 2)
     dens = np.ones(2 * 9)
     load = mesh.slice_load(dens)
     assert abs(load.sum() - 1.0) < 1e-13
 
 
 def test_time_weights_trapezoid():
-    mesh = build_mesh(2, 4)
+    mesh = SpaceTimeMesh(2, 4)
     tw = mesh.time_weights()
     assert tw.shape == (5,)
     assert abs(tw.sum() - 1.0) < 1e-14
@@ -203,7 +221,7 @@ def test_time_weights_trapezoid():
 def test_lumped_mass_is_row_sum():
     # ell_i = <hat_i, 1> in the exact L2 pairing, which the l2l2 source
     # energy evaluates: <u, v> = (E(u + v) - E(u - v)) / 4 at delta = 1
-    mesh = build_mesh(2, 3)
+    mesh = SpaceTimeMesh(2, 3)
     ell = mesh.lumped_mass()
     one = np.ones(mesh.n_dofs)
 
@@ -213,7 +231,7 @@ def test_lumped_mass_is_row_sum():
     rows = [(energy(e + one) - energy(e - one)) / 4.0 for e in np.eye(mesh.n_dofs)]
     assert np.allclose(ell, rows, rtol=0.0, atol=1e-14)
     # and it integrates affine fields exactly
-    t, x, y = mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]
+    t, x, y = _node_coords(mesh).T
     assert abs(ell.sum() - 1.0) < 1e-13
     assert abs(ell @ t - 0.5) < 1e-13
     assert abs(ell @ x - 0.5) < 1e-13
@@ -222,7 +240,7 @@ def test_lumped_mass_is_row_sum():
 
 def test_stiffness_annihilates_constants():
     for bc in ("neumann", "periodic"):
-        mesh = build_mesh(3, 2, bc=bc)
+        mesh = SpaceTimeMesh(3, 2, bc=bc)
         K = mesh.stiffness_matrix()
         r = K @ np.ones(mesh.n_dofs)
         assert np.max(np.abs(r)) < 1e-14
@@ -233,17 +251,17 @@ def test_stiffness_annihilates_constants():
 def test_neumann_tet_dofs_share_tets():
     # with Neumann boundaries every vertex is its own dof: the dof table
     # is the vertex table, shared rather than rebuilt
-    mesh = build_mesh(3, 2)
+    mesh = SpaceTimeMesh(3, 2)
     assert np.array_equal(mesh.tet_dofs, mesh.tets)
     assert mesh.tet_dofs is mesh.tets
-    periodic = build_mesh(3, 2, bc="periodic")
+    periodic = SpaceTimeMesh(3, 2, bc="periodic")
     assert not np.shares_memory(periodic.tet_dofs, periodic.tets)
     assert periodic.tet_dofs.max() < periodic.n_dofs
 
 
 @pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
 def test_divergence_operators_are_adjoint_to_the_gradient(bc, nx, nt):
-    mesh = build_mesh(nx, nt, bc=bc)
+    mesh = SpaceTimeMesh(nx, nt, bc=bc)
     bt, bm, grad_t, grad_m = mesh.divergence_operators()
     assert bt.shape == (mesh.n_dofs, mesh.n_tets)
     assert bm.shape == (mesh.n_dofs, 2 * mesh.n_tets)
@@ -255,8 +273,32 @@ def test_divergence_operators_are_adjoint_to_the_gradient(bc, nx, nt):
     phi = rng.standard_normal(mesh.n_dofs)
     rho = rng.standard_normal(mesh.n_tets)
     m = rng.standard_normal((mesh.n_tets, 2))
-    v = mesh.volumes[0]
+    v = mesh.tet_volume
     lhs = phi @ (bt @ (v * rho) + bm @ (v * m.ravel()))
     g_t, g_m = grad_t @ phi, (grad_m @ phi).reshape(-1, 2)
     rhs = v * (g_t @ rho + np.sum(g_m * m))
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_prisms_order_matches_tets(bc):
+    # the layout prisms states, checked against the vertex table alone:
+    # view[k, t, p] lies between time slices k and k+1 over triangle t
+    mesh = SpaceTimeMesh(3, 4, bc=bc)
+    pslice = (mesh.nx + 1) ** 2
+    ntris = mesh.spatial_tris.shape[0]
+    e = np.arange(mesh.n_tets)
+    view = mesh.prisms(e)
+    assert view.shape == (mesh.nt, ntris, 3)
+    assert np.shares_memory(view, e)
+    verts = mesh.tets[view]
+    slab = np.arange(mesh.nt)[:, None, None]
+    assert np.all(verts.min(axis=-1) // pslice == slab)
+    assert np.all(verts.max(axis=-1) // pslice == slab + 1)
+    # the spatial vertices are those of the triangle, each one present
+    match = (verts % pslice)[..., :, None] == mesh.spatial_tris[None, :, None, None, :]
+    assert match.any(axis=-1).all()
+    assert match.any(axis=-2).all()
+    # trailing axes are kept: the momentum's components
+    m = np.zeros((mesh.n_tets, 2))
+    assert mesh.prisms(m).shape == (mesh.nt, ntris, 3, 2)

@@ -8,12 +8,12 @@ from otsource.assembly import (
     project_continuity,
 )
 from otsource.diagnostics import mass_balance_defect
-from otsource.mesh import State, build_mesh
+from otsource.mesh import SpaceTimeMesh, State
 from otsource.solver import weighted_norm
 
 
 def _setup(nx=3, nt=2, delta=1.0, seed=0, bc="neumann"):
-    mesh = build_mesh(nx, nt, bc=bc)
+    mesh = SpaceTimeMesh(nx, nt, bc=bc)
     system = assemble_system(mesh, delta)
     rng = np.random.default_rng(seed)
     n = 2 * nx * nx
@@ -72,7 +72,7 @@ def test_orthogonality():
         rng.standard_normal(mesh.n_dofs),
     )
     w = project_continuity(other, boundary_vector(mesh, bdata), system)
-    vol, ell = mesh.volumes, mesh.lumped_mass()
+    vol, ell = mesh.tet_volume, mesh.lumped_mass()
     ip = float(np.sum(vol * (state.rho - out.rho) * (w.rho - out.rho)))
     ip += float(np.sum(vol * ((state.m - out.m) * (w.m - out.m)).sum(axis=1)))
     ip += float(np.sum(ell * (state.z - out.z) * (w.z - out.z))) / system.delta

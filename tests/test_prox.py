@@ -5,7 +5,7 @@ from scipy.optimize import brentq, minimize_scalar
 from otsource._kernels import project_paraboloid
 from otsource.diagnostics import source_energy
 from otsource.exceptions import RootFindFailure
-from otsource.mesh import build_mesh, spatial_slice_weights
+from otsource.mesh import SpaceTimeMesh
 from otsource.prox import (
     SourceModel,
     huber,
@@ -330,8 +330,8 @@ def test_l2huber_prox_minimizes_reported_energy_plus_distance():
     and with the same data random perturbations of y lower this
     objective by 3.6e-5 relative: that gap is open, ROADMAP item 4.
     """
-    mesh = build_mesh(4, 3, bc="periodic")
-    w = spatial_slice_weights(mesh)
+    mesh = SpaceTimeMesh(4, 3, bc="periodic")
+    w = mesh.slice_weights
     ell = mesh.lumped_mass()
     assert np.allclose(ell, np.kron(mesh.time_weights(), w), rtol=1e-14, atol=0.0)
     rng = np.random.default_rng(21)

@@ -12,7 +12,7 @@ from otsource.assembly import (
 )
 from otsource.diagnostics import source_energy, transport_energy
 from otsource.exceptions import NonConvergence
-from otsource.mesh import State, build_mesh
+from otsource.mesh import SpaceTimeMesh, State
 from otsource.prox import SourceModel
 from otsource.solver import (
     SolverConfig,
@@ -62,15 +62,15 @@ def test_config_accepts_source_kind_string():
 
 
 def test_weighted_norm_matches_manual_sum():
-    mesh = build_mesh(3, 2)
+    mesh = SpaceTimeMesh(3, 2)
     rng = np.random.default_rng(5)
     rho = rng.standard_normal(mesh.n_tets)
     m = rng.standard_normal((mesh.n_tets, 2))
     z = rng.standard_normal(mesh.n_dofs)
     delta = 0.7
     expected = np.sqrt(
-        float(mesh.volumes @ rho**2)
-        + float(mesh.volumes @ (m[:, 0] ** 2 + m[:, 1] ** 2))
+        mesh.tet_volume * float(np.sum(rho**2))
+        + mesh.tet_volume * float(np.sum(m[:, 0] ** 2 + m[:, 1] ** 2))
         + float(mesh.lumped_mass() @ z**2) / delta
     )
     assert weighted_norm(rho, m, z, mesh, delta) == pytest.approx(
@@ -82,7 +82,7 @@ def test_weighted_norm_matches_manual_sum():
 
 
 def test_initialize_matching_endpoints():
-    mesh = build_mesh(4, 3)
+    mesh = SpaceTimeMesh(4, 3)
     bdata = _random_bdata(4, seed=1)
     bdata = BoundaryData(bdata.ua, bdata.ua.copy())
     state = initialize(mesh, bdata)
@@ -96,7 +96,7 @@ def test_initialize_matching_endpoints():
 def test_initialize_unit_mass_creation():
     # endpoints 0 -> 1 put exactly one unit of created mass into z
     nx = 4
-    mesh = build_mesh(nx, 3)
+    mesh = SpaceTimeMesh(nx, 3)
     n = 2 * nx * nx
     bdata = BoundaryData(np.zeros(n), np.ones(n))
     state = initialize(mesh, bdata)
@@ -110,7 +110,7 @@ def test_initialize_unit_mass_creation():
 
 def test_initialize_blends_at_slab_midpoints():
     nx = 2
-    mesh = build_mesh(nx, 2)
+    mesh = SpaceTimeMesh(nx, 2)
     n = 2 * nx * nx
     bdata = BoundaryData(np.zeros(n), np.ones(n))
     state = initialize(mesh, bdata)
@@ -124,7 +124,7 @@ def test_initialize_blends_at_slab_midpoints():
 
 def test_dr_step_zero_state_is_fixed_point():
     nx = 3
-    mesh = build_mesh(nx, 2)
+    mesh = SpaceTimeMesh(nx, 2)
     system = assemble_system(mesh, 1.0)
     n = 2 * nx * nx
     bdata = BoundaryData(np.zeros(n), np.zeros(n))
@@ -144,7 +144,7 @@ def test_dr_step_stationary_pair_is_fixed_point():
     # matching endpoints: the constant-in-time blend with m = z = 0 is
     # feasible and every prox fixes it, so the step must return it
     nx = 3
-    mesh = build_mesh(nx, 2)
+    mesh = SpaceTimeMesh(nx, 2)
     system = assemble_system(mesh, 1.0)
     bdata = _random_bdata(nx, seed=2)
     bdata = BoundaryData(bdata.ua, bdata.ua.copy())
@@ -158,7 +158,7 @@ def test_dr_step_stationary_pair_is_fixed_point():
 
 def test_dr_step_feasible_iterate_satisfies_continuity():
     nx = 3
-    mesh = build_mesh(nx, 2)
+    mesh = SpaceTimeMesh(nx, 2)
     system = assemble_system(mesh, 1.0)
     bdata = _random_bdata(nx, seed=3)
     cfg = SolverConfig(nt=2, source=SourceModel("l2l2"))
@@ -172,7 +172,7 @@ def test_dr_step_feasible_iterate_satisfies_continuity():
 def test_dr_step_update_algebra():
     # aux' - aux = alpha * (image - feasible) on every block
     nx = 3
-    mesh = build_mesh(nx, 2)
+    mesh = SpaceTimeMesh(nx, 2)
     system = assemble_system(mesh, 1.0)
     bdata = _random_bdata(nx, seed=4)
     alpha = 1.3
@@ -186,7 +186,7 @@ def test_dr_step_update_algebra():
 
 def test_dr_step_residual_is_weighted_distance():
     nx = 3
-    mesh = build_mesh(nx, 2)
+    mesh = SpaceTimeMesh(nx, 2)
     delta = 2.5
     system = assemble_system(mesh, delta)
     bdata = _random_bdata(nx, seed=5)
@@ -207,7 +207,7 @@ def test_dr_step_returns_projection_potential():
     # phi solves the projection system of the step's input,
     # A phi = -defect(state_aux)
     nx = 3
-    mesh = build_mesh(nx, 2)
+    mesh = SpaceTimeMesh(nx, 2)
     system = assemble_system(mesh, 1.0)
     bdata = _random_bdata(nx, seed=15)
     b = boundary_vector(mesh, bdata)
@@ -414,3 +414,45 @@ def test_solve_periodic_runs():
     result = solve(bdata, cfg)
     assert len(result.stats) == 15
     assert result.stats[-1].mass_balance_defect <= 1e-9
+
+
+# ------------------------------------------------------- singular sources
+
+
+def _cell_tris(grid):
+    """Triangle values of a cell grid indexed [x, y]."""
+    return np.repeat(grid.T.ravel(), 2)
+
+
+@pytest.mark.parametrize("case", ["point source", "line source", "point sink"])
+def test_linear_growth_source_concentrates_on_singular_features(case):
+    # the paper's claim: the L2-in-time, linear-growth-in-space penalty
+    # lets a singular source sit where mass appears or vanishes, while
+    # the squared-L2 penalty spreads it over the domain.  A 2x2 blob is
+    # transported in both cases; the feature's cells change mass.
+    nx = 8
+    ga = np.zeros((nx, nx))
+    ga[1:3, 1:3] = 1.0
+    gb = ga.copy()
+    if case == "point source":
+        gb[5, 5] = 1.0
+        feature = (slice(5, 7), slice(5, 7))  # node rows (y), columns (x)
+    elif case == "line source":
+        gb[5, 2:7] = 1.0
+        feature = (slice(2, 8), slice(5, 7))
+    else:
+        ga[5, 5] = 1.0
+        feature = (slice(5, 7), slice(5, 7))
+    bdata = BoundaryData(_cell_tris(ga), _cell_tris(gb))
+
+    def share_on_feature(source):
+        cfg = SolverConfig(nt=4, max_iters=300, fp_tol=0.0, source=source)
+        result = solve(bdata, cfg)
+        mesh = result.mesh
+        zs = np.abs(result.state.z).reshape(mesh.nt + 1, nx + 1, nx + 1)
+        # trapezoid weights in time over the interior slices
+        weighted = (mesh.time_weights()[:, None, None] * zs)[1:-1]
+        return float(weighted[:, feature[0], feature[1]].sum() / weighted.sum())
+
+    assert share_on_feature(SourceModel("l2huber", beta=1e-3)) >= 0.9
+    assert share_on_feature(SourceModel("l2l2")) <= 0.5
