@@ -349,7 +349,6 @@ def boundary_vector(mesh, bdata):
     Entry i holds I psi_i(1) u_B - I psi_i(0) u_A; only the first and
     last time slices are populated.
     """
-    _check_bdata(mesh, bdata)
     v = np.zeros(mesh.n_dofs)
     v[: mesh.nsp] = -mesh.slice_load(bdata.ua)
     v[-mesh.nsp :] = mesh.slice_load(bdata.ub)
@@ -445,10 +444,3 @@ def project_continuity(state, b, system, return_phi=False):
         return out, phi
     return out
 
-
-def _check_bdata(mesh, bdata):
-    want = mesh.spatial_tris.shape[0]
-    if bdata.ua.shape != (want,):
-        raise ValueError(
-            f"boundary data has {bdata.ua.shape[0]} triangle values, mesh needs {want}"
-        )

@@ -8,7 +8,9 @@ are resampled to the solver grid by exact area-weighted averaging, so
 block means are reproduced when the sizes divide.  PGM values are
 scaled so maxval becomes 1.0 unless an explicit scale is given; CSV
 values pass through unscaled by default.  Densities are never
-renormalized.
+renormalized.  CSV text is read by np.loadtxt ('#' starts a comment,
+blank lines are skipped) and written by np.savetxt; the PGM header is
+matched by one regular expression.
 
 Outputs are deterministic: floats carry 17 significant digits, lines
 end with a bare newline, and rerunning identical inputs reproduces the
@@ -18,8 +20,11 @@ another thread count the projection's dense matrix products
 of the iterates and the CSVs can change.
 """
 
+import dataclasses
 import hashlib
 import os
+import re
+import warnings
 
 import numpy as np
 import scipy
@@ -30,9 +35,21 @@ from .exceptions import EmptyImage, NegativeValue, UnsupportedFormat
 PGM_MAXVAL_LIMIT = 65535
 FRAME_MAXVAL = 65535
 
+# magic, then width, height and maxval, each after whitespace or
+# '#' comments; a P5 payload starts after exactly one whitespace byte.
+# Nine digits bound every field far above any raster and keep int()
+# clear of its digit limit.
+_PGM_HEADER = re.compile(rb"P([25])" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
+
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _savetxt(path, rows, **layout):
+    """np.savetxt into a file whose lines end with a bare newline on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(fh, rows, **layout)
 
 
 def load_density(path, nx, scale=None):
@@ -70,45 +87,22 @@ def read_pgm(path):
 def write_pgm(path, pixels, maxval=FRAME_MAXVAL):
     """Write an ascii (P2) PGM; pixels are integers in [0, maxval]."""
     pixels = np.asarray(pixels)
-    lines = [f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n{maxval}\n"]
-    for row in pixels:
-        lines.append(" ".join(str(int(v)) for v in row) + "\n")
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(lines)
+    header = f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n{maxval}"
+    _savetxt(path, pixels, fmt="%d", header=header, comments="")
 
 
 def _parse_pgm(blob):
-    if blob[:2] not in (b"P2", b"P5"):
-        raise UnsupportedFormat("not a P2/P5 PGM stream")
-    binary = blob[:2] == b"P5"
-
-    # header: magic, width, height, maxval, with '#' comments allowed
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(blob):
-            raise UnsupportedFormat("truncated PGM header")
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b""):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(blob[start:pos])
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise UnsupportedFormat(f"bad PGM header: {exc}") from exc
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise UnsupportedFormat("not a P2/P5 PGM stream, or a bad or truncated header")
+    binary = header[1] == b"5"
+    width, height, maxval = (int(t) for t in header.groups()[1:])
+    pos = header.end()
     if width <= 0 or height <= 0:
         raise EmptyImage("raster with zero extent")
     if not 0 < maxval <= PGM_MAXVAL_LIMIT:
         raise UnsupportedFormat(f"maxval {maxval} outside (0, {PGM_MAXVAL_LIMIT}]")
     if binary:
-        pos += 1  # single whitespace after maxval
         wide = maxval > 255
         count = width * height
         dtype = np.dtype(">u2" if wide else np.uint8)
@@ -133,29 +127,19 @@ def _parse_pgm(blob):
 
 def _parse_csv(blob, path):
     try:
-        text = blob.decode("utf-8")
+        lines = blob.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise UnsupportedFormat(f"{path}: neither PGM nor text CSV") from exc
-    rows = []
-    width = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError as exc:
-            raise UnsupportedFormat(f"{path}: bad CSV row {line!r}") from exc
-        if not all(np.isfinite(row)):
-            raise UnsupportedFormat(f"{path}: non-finite value in CSV row {line!r}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise UnsupportedFormat(f"{path}: ragged CSV rows")
-        rows.append(row)
-    if not rows:
-        raise EmptyImage(f"{path}: empty CSV")
-    return np.array(rows)
+    try:
+        with warnings.catch_warnings():
+            # input without data rows: load_density rejects the empty array
+            warnings.simplefilter("ignore", UserWarning)
+            pixels = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise UnsupportedFormat(f"{path}: bad CSV: {exc}") from exc
+    if not np.all(np.isfinite(pixels)):
+        raise UnsupportedFormat(f"{path}: non-finite value in CSV")
+    return pixels
 
 
 def _resample(pixels, nx):
@@ -243,9 +227,7 @@ def _source_frames(result):
 
 
 def _write_csv_grid(path, grid):
-    with open(path, "w", newline="\n") as fh:
-        for row in grid:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _savetxt(path, grid, fmt="%.17g", delimiter=",")
 
 
 def _quantize(frames, norm):
@@ -299,24 +281,16 @@ def write_outputs(result, outdir, manifest=None):
     manifest.write(manifest_path)
 
     try:
-        with open(os.path.join(outdir, "trace.csv"), "w", newline="\n") as fh:
-            fh.write("iter,residual,energy,transport,source,mass_defect\n")
-            for s in result.stats:
-                fh.write(
-                    f"{s.iteration},{_fmt(s.fixed_point_residual)},"
-                    f"{_fmt(s.energy)},{_fmt(s.transport_energy)},"
-                    f"{_fmt(s.source_energy)},{_fmt(s.mass_balance_defect)}\n"
-                )
+        trace = [(s.iteration, s.fixed_point_residual, s.energy, s.transport_energy,
+                  s.source_energy, s.mass_balance_defect) for s in result.stats]
+        _savetxt(os.path.join(outdir, "trace.csv"), trace, fmt="%d" + ",%.17g" * 5,
+                 header="iter,residual,energy,transport,source,mass_defect", comments="")
 
-        with open(os.path.join(outdir, "profiles.csv"), "w", newline="\n") as fh:
-            fh.write("# node mass = mean of the adjacent slab masses; "
-                     "end nodes use their single slab\n")
-            fh.write("t,mass,src_abs,src_pos,src_neg\n")
-            for row in time_profiles(result.state, mesh):
-                fh.write(
-                    f"{_fmt(row.t)},{_fmt(row.mass)},{_fmt(row.src_abs)},"
-                    f"{_fmt(row.src_pos)},{_fmt(row.src_neg)}\n"
-                )
+        profiles = [dataclasses.astuple(row) for row in time_profiles(result.state, mesh)]
+        _savetxt(os.path.join(outdir, "profiles.csv"), profiles, fmt="%.17g", delimiter=",",
+                 header="# node mass = mean of the adjacent slab masses; "
+                        "end nodes use their single slab\nt,mass,src_abs,src_pos,src_neg",
+                 comments="")
 
         families = (
             ("frame", "density", rho_frames, _quantize(rho_frames, norm_rho)),

@@ -250,6 +250,11 @@ class TestBoundaryData:
         with pytest.raises(ValueError):
             BoundaryData(np.zeros(8), np.zeros(6))
 
+    def test_boundary_vector_rejects_wrong_length(self):
+        # a 2x2 mesh has 8 spatial triangles
+        with pytest.raises(ValueError, match="triangle values"):
+            boundary_vector(SpaceTimeMesh(2, 2), BoundaryData(np.zeros(6), np.zeros(6)))
+
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
 @pytest.mark.parametrize("nx,nt", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])

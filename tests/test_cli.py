@@ -1,12 +1,15 @@
 """Command line behavior: exit codes, option precedence, outputs."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import otsource
 from otsource import _kernels, cli
-from otsource.cli import DEFAULTS, run_cli
+from otsource.cli import run_cli
 from otsource.exceptions import NonConvergence, RootFindFailure
 from otsource.io import file_sha256, read_pgm
 from otsource.prox import SourceModel
@@ -48,6 +51,27 @@ BASE = ["--nx", "4", "--nt", "2", "--iters", "30"]
 def test_missing_inputs_exit_1(capsys):
     assert run_cli([]) == 1
     assert "--a and --b" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    # argparse exits 2 on a usage error, the code of a capped run
+    assert run_cli(["--nx", "abc"]) == 1
+    assert "--nx" in capsys.readouterr().err
+    assert run_cli(["--turbo"]) == 1
+    assert "--turbo" in capsys.readouterr().err
+    assert run_cli(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_process_exit_status_of_usage_errors():
+    src = os.path.dirname(os.path.dirname(otsource.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    main = "from otsource.cli import main; main()"
+    for argv, status in ((["--nx", "abc"], 1), (["--turbo"], 1), (["--help"], 0)):
+        proc = subprocess.run([sys.executable, "-c", main, *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == status, proc.stderr
 
 
 def test_bad_alpha_message_and_exit_1(flat_pair, capsys):
@@ -165,12 +189,14 @@ def test_flags_override_config_file(moving_pair, tmp_path, capsys):
     a, b = moving_pair
     out = tmp_path / "run"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"a={a}\nb={b}\nnx=4\nnt=2\niters=40\n")
+    # keys may be spelled with - or _
+    cfg.write_text(f"a={a}\nb={b}\nnx=4\nnt=2\niters=40\nfp-tol=1e-12\nlog_every=7\n")
     run_cli(["--config", str(cfg), "--nt", "3", "--iters", "5",
              "--out", str(out)])
     capsys.readouterr()
     text = (out / "manifest.txt").read_text()
-    assert "nt=3" in text and "iters=5" in text
+    assert "\nnt=3\n" in text and "\niters=5\n" in text
+    assert "\nfp_tol=1e-12\n" in text and "\nlog_every=7\n" in text
 
 
 def test_unknown_config_key_exit_1(flat_pair, tmp_path, capsys):
@@ -181,25 +207,32 @@ def test_unknown_config_key_exit_1(flat_pair, tmp_path, capsys):
     assert "turbo" in capsys.readouterr().err
 
 
-def test_defaults_cover_every_flag():
-    for key in ("nx", "nt", "delta", "gamma", "alpha", "iters", "fp_tol",
-                "source", "beta", "bc", "scale", "out", "log_every"):
-        assert key in DEFAULTS
+@pytest.mark.parametrize("line,message", [
+    ("nx=abc", "invalid int value: 'abc'"),
+    ("del=2", "unknown option 'del'"),  # no abbreviations in the file
+    ("config=other.cfg", "unknown option 'config'"),
+    ("nx 4", "expected key=value"),
+])
+def test_bad_config_line_exit_1(flat_pair, tmp_path, capsys, line, message):
+    a, b = flat_pair
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"a={a}\nb={b}\n{line}\n")
+    assert run_cli(["--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_defaults_match_library_defaults():
-    # the CLI keeps its own copy of the solver defaults; it must agree
-    # with SolverConfig and SourceModel
+    # every solver flag reads its default from SolverConfig and
+    # SourceModel; the command line sets only nx, scale, out, log_every
     config, source = SolverConfig(), SourceModel()
-    assert DEFAULTS["nt"] == config.nt
-    assert DEFAULTS["delta"] == config.delta
-    assert DEFAULTS["gamma"] == config.gamma
-    assert DEFAULTS["alpha"] == config.alpha
-    assert DEFAULTS["iters"] == config.max_iters
-    assert DEFAULTS["fp_tol"] == config.fp_tol
-    assert DEFAULTS["bc"] == config.bc
-    assert DEFAULTS["source"] == source.kind == config.source.kind
-    assert DEFAULTS["beta"] == source.beta == config.source.beta
+    assert source == config.source
+    library = {"nt": config.nt, "delta": config.delta, "gamma": config.gamma,
+               "alpha": config.alpha, "iters": config.max_iters,
+               "fp_tol": config.fp_tol, "bc": config.bc,
+               "source": source.kind, "beta": source.beta}
+    own = {"nx": 64, "scale": None, "out": None, "log_every": 0}
+    inputs = {"a": None, "b": None, "config": None}
+    assert vars(cli.build_parser().parse_args([])) == {**library, **own, **inputs}
 
 
 # ---------------------------------------------------------------- outputs

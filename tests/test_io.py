@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
+from otsource import io
 from otsource.assembly import BoundaryData
 from otsource.exceptions import EmptyImage, NegativeValue, UnsupportedFormat
 from otsource.io import (
@@ -88,6 +89,16 @@ def test_empty_csv_rejected(tmp_path):
         load_density(path, 2)
 
 
+def test_csv_round_trips_bit_for_bit(tmp_path):
+    # the frame CSV writer and load_density's CSV reader; 0.1 + 0.2
+    # needs all 17 significant digits
+    grid = np.array([[1 / 3, -0.0, 5e-324], [1e300, -2.5, 0.1 + 0.2]])
+    path = tmp_path / "g.csv"
+    io._write_csv_grid(str(path), grid)
+    back = io._parse_csv(path.read_bytes(), str(path))
+    assert back.dtype == grid.dtype and back.tobytes() == grid.tobytes()
+
+
 def test_binary_garbage_rejected(tmp_path):
     path = tmp_path / "m.bin"
     path.write_bytes(b"\xff\xfe\x00garbage")
@@ -110,6 +121,24 @@ def test_p2_header_comments(tmp_path):
     pixels, maxval = read_pgm(path)
     assert maxval == 10
     assert np.array_equal(pixels, [[1, 2], [3, 4]])
+
+
+def test_pgm_header_comments_between_every_token(tmp_path):
+    path = _write(tmp_path / "m.pgm",
+                  "P2# right after the magic\n2\n# w\n2 # h\n#\n10\n1 2 3 4\n")
+    pixels, maxval = read_pgm(path)
+    assert maxval == 10
+    assert np.array_equal(pixels, [[1, 2], [3, 4]])
+
+
+def test_p5_payload_after_exactly_one_whitespace_byte(tmp_path):
+    # every sample is a whitespace byte, so skipping more than one
+    # would shift the payload
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5 # c\n2 2\n255\n" + bytes([10, 32, 13, 9]))
+    pixels, maxval = read_pgm(str(path))
+    assert maxval == 255
+    assert np.array_equal(pixels, [[10, 32], [13, 9]])
 
 
 def test_p5_binary_8bit(tmp_path):
