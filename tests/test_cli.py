@@ -221,6 +221,15 @@ def test_bad_config_line_exit_1(flat_pair, tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+def test_defaults_cover_every_flag():
+    # the parser is the one table of options: each run option has a
+    # default there, so a run with no flags records all of them
+    defaults = vars(cli.build_parser().parse_args([]))
+    for key in ("nx", "nt", "delta", "gamma", "alpha", "iters", "fp_tol",
+                "source", "beta", "bc", "scale", "out", "log_every"):
+        assert key in defaults
+
+
 def test_defaults_match_library_defaults():
     # every solver flag reads its default from SolverConfig and
     # SourceModel; the command line sets only nx, scale, out, log_every
