@@ -18,24 +18,21 @@ outputs are still written), 1 on usage or input errors.
 import argparse
 import sys
 
-from . import __version__
 from .assembly import BoundaryData
 from .diagnostics import transport_energy
 from .exceptions import NonConvergence, RootFindFailure
-from .io import RunManifest, file_sha256, load_density, write_outputs
+from .io import file_sha256, load_density, write_outputs
 from .mesh import BOUNDARY_CONDITIONS
 from .prox import SOURCE_KINDS, SourceModel
 from .solver import SolverConfig, solve
 
-# parser destinations that are inputs or the option file, not run settings
-_NOT_RECORDED = ("a", "b", "config")
 
-
-def build_parser():
+def build_parser(exit_on_error=True):
     config = SolverConfig()
     p = argparse.ArgumentParser(
         prog="otsource",
         description="Geodesics of an unbalanced transport distance between two densities.",
+        exit_on_error=exit_on_error,
     )
     p.add_argument("--a", help="left endpoint density (PGM or CSV)")
     p.add_argument("--b", help="right endpoint density (PGM or CSV)")
@@ -60,12 +57,15 @@ def build_parser():
     return p
 
 
-def _config_flags(path, known):
+def _config_flags(path):
     """The --key=value flags of a key=value option file.
 
-    known holds the parser's destinations; any other key, an abbreviated
-    one or a nested config among them, is rejected.
+    A key must be one of the parser's destinations, spelled out, and not
+    config itself.  Each flag is parsed on its own, so a bad key or
+    value raises a ValueError that names the file and line.
     """
+    parser = build_parser(exit_on_error=False)
+    known = vars(parser.parse_args([]))
     flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -78,7 +78,12 @@ def _config_flags(path, known):
             dest = key.replace("-", "_")
             if dest not in known or dest == "config":
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            flags.append(f"--{dest.replace('_', '-')}={value}")
+            flag = f"--{dest.replace('_', '-')}={value}"
+            try:
+                parser.parse_args([flag])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            flags.append(flag)
     return flags
 
 
@@ -88,7 +93,7 @@ def run_cli(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args = parser.parse_args(_config_flags(args.config, vars(args)) + argv)
+            args = parser.parse_args(_config_flags(args.config) + argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of a capped run
         return 1 if exc.code else 0
@@ -144,15 +149,10 @@ def run_cli(argv=None):
         return 1
 
     if args.out:
-        manifest = RunManifest()
-        manifest.add("version", f"otsource-{__version__}")
-        for key, value in sorted(vars(args).items()):
-            if key not in _NOT_RECORDED:
-                manifest.add(key, value)
-        manifest.add("a", args.a)
-        manifest.add("b", args.b)
-        manifest.add("sha256_a", file_sha256(args.a))
-        manifest.add("sha256_b", file_sha256(args.b))
+        # write_outputs records the settings; add what the result cannot know
+        manifest = {"a": args.a, "b": args.b,
+                    "sha256_a": file_sha256(args.a), "sha256_b": file_sha256(args.b),
+                    "scale": args.scale, "log_every": args.log_every}
         try:
             write_outputs(result, args.out, manifest=manifest)
         except OSError as exc:

@@ -15,7 +15,7 @@ class NonConvergence(RuntimeError):
 
 
 class RootFindFailure(ArithmeticError):
-    """The scalar root finder received values it cannot bracket (NaN/inf)."""
+    """Non-finite input (NaN or inf) reached the paraboloid kernel or the Huber prox."""
 
 
 class UnsupportedFormat(ValueError):

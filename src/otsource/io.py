@@ -29,6 +29,7 @@ import warnings
 import numpy as np
 import scipy
 
+from . import __version__
 from .diagnostics import time_profiles, transport_energy
 from .exceptions import EmptyImage, NegativeValue, UnsupportedFormat
 
@@ -168,21 +169,6 @@ def file_sha256(path):
     return h.hexdigest()
 
 
-class RunManifest:
-    """Ordered key=value record of one run, written before any frame."""
-
-    def __init__(self):
-        self.entries = []
-
-    def add(self, key, value):
-        self.entries.append((str(key), str(value)))
-
-    def write(self, path):
-        with open(path, "w", newline="\n") as fh:
-            for key, value in self.entries:
-                fh.write(f"{key}={value}\n")
-
-
 def _cells_from_p0(values, nx):
     """Average the two triangle values of every cell into an nx * nx grid."""
     cells = 0.5 * (values[0::2] + values[1::2])
@@ -246,15 +232,20 @@ def write_outputs(result, outdir, manifest=None):
     interior nodes average the adjacent slabs.  Momentum frames are per
     slab.  Every PGM family is normalized by one per-run constant that
     is recorded in the manifest, and each frame also gets a raw CSV for
-    quantitative use.  The manifest is written first so that partially
-    written runs remain attributable; on a write failure it is rewritten
-    with partial=true before the error propagates.  The manifest also
-    records the infeasible volume of the returned state, as
-    diagnostics.transport_energy counts it, so a run that stops at the
-    cap with negative density or momentum over vacuum says so.
+    quantitative use.
+
+    manifest.txt is the run record, one key=value line per key: the
+    caller's manifest dict (what the result cannot know, such as the
+    input files), the package version, nx, every setting of
+    result.config, then the run's facts, among them the infeasible
+    volume of the returned state as diagnostics.transport_energy
+    counts it.  It is written first, so that partially written runs
+    remain attributable, and rewritten with partial=true before a
+    write error propagates.
     """
     os.makedirs(outdir, exist_ok=True)
     mesh = result.mesh
+    config = result.config
 
     rho_frames = _density_frames(result)
     mom_frames = _momentum_frames(result)
@@ -263,23 +254,31 @@ def write_outputs(result, outdir, manifest=None):
     norm_mom = max((float(np.max(f)) for f in mom_frames), default=0.0)
     norm_src = max((float(np.max(np.abs(f))) for f in src_frames), default=0.0)
 
-    if manifest is None:
-        manifest = RunManifest()
-    manifest.add("nx", mesh.nx)
-    manifest.add("nt", mesh.nt)
-    manifest.add("bc", mesh.bc)
-    manifest.add("iterations", len(result.stats))
-    manifest.add("converged", str(result.converged).lower())
-    manifest.add("infeasible_volume", _fmt(transport_energy(result.state, mesh)[1]))
-    manifest.add("wall_seconds", _fmt(result.wall_seconds))
-    manifest.add("frame_norm_rho", _fmt(norm_rho))
-    manifest.add("frame_norm_mom", _fmt(norm_mom))
-    manifest.add("frame_norm_src", _fmt(norm_src))
-    manifest.add("numpy", np.__version__)
-    manifest.add("scipy", scipy.__version__)
+    record = {
+        **(manifest or {}),
+        "version": f"otsource-{__version__}",
+        "nx": mesh.nx,
+        # every SolverConfig field; the source model as its kind and beta
+        **dataclasses.asdict(config),
+        "source": config.source.kind,
+        "beta": config.source.beta,
+        "iterations": len(result.stats),
+        "converged": str(result.converged).lower(),
+        "infeasible_volume": _fmt(transport_energy(result.state, mesh)[1]),
+        "wall_seconds": _fmt(result.wall_seconds),
+        "frame_norm_rho": _fmt(norm_rho),
+        "frame_norm_mom": _fmt(norm_mom),
+        "frame_norm_src": _fmt(norm_src),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
     manifest_path = os.path.join(outdir, "manifest.txt")
-    manifest.write(manifest_path)
 
+    def write_manifest():
+        with open(manifest_path, "w", newline="\n") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in record.items())
+
+    write_manifest()
     try:
         trace = [(s.iteration, s.fixed_point_residual, s.energy, s.transport_energy,
                   s.source_energy, s.mass_balance_defect) for s in result.stats]
@@ -303,6 +302,6 @@ def write_outputs(result, outdir, manifest=None):
                 write_pgm(os.path.join(outdir, f"{pgm}_{k:03d}.pgm"), quant)
                 _write_csv_grid(os.path.join(outdir, f"{csv}_{k:03d}.csv"), grid)
     except OSError:
-        manifest.add("partial", "true")
-        manifest.write(manifest_path)
+        record["partial"] = "true"
+        write_manifest()
         raise

@@ -9,11 +9,12 @@ import pytest
 
 import otsource
 from otsource import _kernels, cli
+from otsource.assembly import BoundaryData
 from otsource.cli import run_cli
 from otsource.exceptions import NonConvergence, RootFindFailure
-from otsource.io import file_sha256, read_pgm
+from otsource.io import file_sha256, load_density, read_pgm, write_outputs
 from otsource.prox import SourceModel
-from otsource.solver import SolverConfig
+from otsource.solver import SolverConfig, solve
 
 
 def _csv(path, grid):
@@ -195,7 +196,7 @@ def test_flags_override_config_file(moving_pair, tmp_path, capsys):
              "--out", str(out)])
     capsys.readouterr()
     text = (out / "manifest.txt").read_text()
-    assert "\nnt=3\n" in text and "\niters=5\n" in text
+    assert "\nnt=3\n" in text and "\nmax_iters=5\n" in text
     assert "\nfp_tol=1e-12\n" in text and "\nlog_every=7\n" in text
 
 
@@ -218,7 +219,9 @@ def test_bad_config_line_exit_1(flat_pair, tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"a={a}\nb={b}\n{line}\n")
     assert run_cli(["--config", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
+    # the error names the file and the line, then what is wrong there
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:3: ") and message in err
 
 
 def test_defaults_cover_every_flag():
@@ -267,6 +270,25 @@ def test_outputs_written_and_manifest_hashes(moving_pair, tmp_path, capsys):
     # the same value the manifest records
     volume = float(entries["infeasible_volume"])
     assert summary.endswith(f"infeasible volume {volume:.3e}")
+
+
+def test_manifest_states_each_key_once(moving_pair, tmp_path, capsys):
+    # the command line adds only its inputs to the record write_outputs
+    # makes, which states nx, nt, bc and every other setting once
+    a, b = moving_pair
+    out = tmp_path / "run"
+    run_cli(["--a", a, "--b", b, *BASE, "--out", str(out)])
+    capsys.readouterr()
+    keys = [line.split("=", 1)[0]
+            for line in (out / "manifest.txt").read_text().splitlines()]
+    assert len(keys) == len(set(keys))
+    bare = tmp_path / "bare"
+    ua, ub = load_density(a, 4), load_density(b, 4)
+    write_outputs(solve(BoundaryData(ua, ub), SolverConfig(nt=2, max_iters=2)), str(bare))
+    library = [line.split("=", 1)[0]
+               for line in (bare / "manifest.txt").read_text().splitlines()]
+    own = ["a", "b", "sha256_a", "sha256_b", "scale", "log_every"]
+    assert keys == own + library
 
 
 def test_first_frame_shows_left_endpoint(moving_pair, tmp_path, capsys):

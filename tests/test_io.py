@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import scipy
 
+import otsource
 from otsource import io
 from otsource.assembly import BoundaryData
 from otsource.exceptions import EmptyImage, NegativeValue, UnsupportedFormat
 from otsource.io import (
-    RunManifest,
     file_sha256,
     load_density,
     read_pgm,
@@ -317,9 +317,7 @@ def test_profiles_has_one_row_per_time_node(tiny_result, tmp_path):
 
 def test_manifest_records_mesh_and_convergence(tiny_result, tmp_path):
     out = tmp_path / "run"
-    manifest = RunManifest()
-    manifest.add("custom", "kept")
-    write_outputs(tiny_result, str(out), manifest=manifest)
+    write_outputs(tiny_result, str(out), manifest={"custom": "kept"})
     text = (out / "manifest.txt").read_text()
     assert text.startswith("custom=kept\n")
     assert f"nx={tiny_result.mesh.nx}\n" in text
@@ -339,6 +337,33 @@ def test_manifest_records_mesh_and_convergence(tiny_result, tmp_path):
     text = (tmp_path / "bad" / "manifest.txt").read_text()
     expected = 2 * tiny_result.mesh.tet_volume
     assert f"\ninfeasible_volume={format(expected, '.17g')}\n" in text
+
+
+def test_manifest_states_each_setting_once_from_the_config(tiny_result, tmp_path):
+    write_outputs(tiny_result, str(tmp_path))
+    lines = [line.split("=", 1) for line in (tmp_path / "manifest.txt").read_text().splitlines()]
+    keys = [key for key, _ in lines]
+    assert len(keys) == len(set(keys))
+    entries = dict(lines)
+    config = tiny_result.config
+    assert entries["version"] == f"otsource-{otsource.__version__}"
+    assert entries["nx"] == str(tiny_result.mesh.nx)
+    # every SolverConfig field, the source model as its kind and beta
+    settings = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    settings.update(source=config.source.kind, beta=config.source.beta)
+    assert len(settings) == 9
+    for key, value in settings.items():
+        assert entries[key] == str(value), key
+
+
+def test_write_error_marks_manifest_partial(tiny_result, tmp_path):
+    # a directory in the place of trace.csv makes the first data write fail
+    (tmp_path / "trace.csv").mkdir()
+    with pytest.raises(OSError):
+        write_outputs(tiny_result, str(tmp_path))
+    text = (tmp_path / "manifest.txt").read_text()
+    assert text.endswith("\npartial=true\n")
+    assert text.count("partial=") == 1
 
 
 def test_file_sha256_matches_hashlib(tmp_path):
