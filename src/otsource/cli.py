@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from .assembly import BoundaryData
-from .diagnostics import transport_energy
+from .diagnostics import energy_breakdown
 from .exceptions import NonConvergence, RootFindFailure
 from .io import file_sha256, load_density, write_outputs
 from .mesh import BOUNDARY_CONDITIONS
@@ -160,14 +160,16 @@ def run_cli(argv=None):
             return 1
 
     last = result.stats[-1]
-    # the returned state may hold negative density or momentum over
-    # vacuum; say how much, as the manifest does
-    infeasible = transport_energy(result.state, result.mesh)[1]
+    # the trace energy is read on the prox image, not on the returned
+    # state, which may hold negative density or momentum over vacuum;
+    # give both, as the manifest does
+    breakdown = energy_breakdown(result.state, config.source, config.delta, result.mesh)
     print(
         f"{'converged' if result.converged else 'iteration cap reached'} "
         f"after {last.iteration} iterations: energy {last.energy:.9e} "
         f"(transport {last.transport_energy:.3e}, source {last.source_energy:.3e}), "
-        f"infeasible volume {infeasible:.3e}"
+        f"state energy {breakdown.total:.9e}, "
+        f"infeasible volume {breakdown.infeasible_volume:.3e}"
     )
     return 0 if result.converged else 2
 

@@ -41,13 +41,16 @@ def transport_energy(state, mesh):
     """Integral of the transport action, with an infeasibility tally.
 
     Returns (energy, infeasible_volume).  Thresholds scale with the
-    iterate: eps_rho = 1e-12 * max rho and likewise for momentum, so
-    projection noise around zero is read as vacuum, not infeasibility.
+    iterate: eps_rho = 1e-12 * max rho and eps_m = 1e-12 * max |m|,
+    floored by eps_rho, so projection noise around zero is read as
+    vacuum, not infeasibility.  The floor keeps a momentum field that
+    is all noise from being measured against its own scale; velocities
+    on the unit cylinder are O(1), so |m| <= eps_rho is noise.
     """
     rho = state.rho
     m2 = state.m[:, 0] ** 2 + state.m[:, 1] ** 2
     eps_rho = 1e-12 * max(float(rho.max(initial=0.0)), 0.0)
-    eps_m2 = (1e-12 * math.sqrt(float(m2.max(initial=0.0)))) ** 2
+    eps_m2 = max(1e-12 * math.sqrt(float(m2.max(initial=0.0))), eps_rho) ** 2
     moving = rho > eps_rho
     # an element is bad unless it moves or is vacuum (rho >= -eps_rho
     # and m2 <= eps_m2); dividing in place of a masked copy costs less

@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .diagnostics import time_profiles, transport_energy
+from .diagnostics import energy_breakdown, time_profiles
 from .exceptions import EmptyImage, NegativeValue, UnsupportedFormat
 
 PGM_MAXVAL_LIMIT = 65535
@@ -169,59 +169,34 @@ def file_sha256(path):
     return h.hexdigest()
 
 
-def _cells_from_p0(values, nx):
-    """Average the two triangle values of every cell into an nx * nx grid."""
-    cells = 0.5 * (values[0::2] + values[1::2])
-    return cells.reshape(nx, nx)
+def _frames(result):
+    """Density, momentum and source frames, each one (frames, nx, nx) array.
 
-
-def _density_frames(result):
-    """Per-time-node cell grids; the end nodes show the boundary data."""
+    The frames are those write_outputs describes.  A cell shows the
+    mean of its two triangles' P0 values, or of its four corners' z.
+    """
     mesh = result.mesh
     nx, nt = mesh.nx, mesh.nt
+
+    def cells(p0):
+        return (0.5 * (p0[:, 0::2] + p0[:, 1::2])).reshape(-1, nx, nx)
+
     # a prism's three tetrahedra have equal volumes
-    slabs = mesh.prisms(result.state.rho).mean(axis=2)
-    frames = [_cells_from_p0(result.bdata.ua, nx)]
-    for k in range(1, nt):
-        frames.append(_cells_from_p0(0.5 * (slabs[k - 1] + slabs[k]), nx))
-    frames.append(_cells_from_p0(result.bdata.ub, nx))
-    return frames
-
-
-def _momentum_frames(result):
-    mesh = result.mesh
-    slabs = mesh.prisms(result.state.m).mean(axis=2)
-    mag = np.hypot(slabs[..., 0], slabs[..., 1])
-    return [_cells_from_p0(mag[k], mesh.nx) for k in range(mesh.nt)]
-
-
-def _source_frames(result):
-    """Nodal z rendered per cell by averaging the four cell corners."""
-    mesh = result.mesh
-    nx = mesh.nx
-    zs = result.state.z.reshape(mesh.nt + 1, mesh.nsp)
-    frames = []
-    for k in range(mesh.nt + 1):
-        if mesh.bc == "periodic":
-            grid = zs[k].reshape(nx, nx)
-            ext = np.pad(grid, ((0, 1), (0, 1)), mode="wrap")
-        else:
-            ext = zs[k].reshape(nx + 1, nx + 1)
-        cells = 0.25 * (ext[:-1, :-1] + ext[1:, :-1] + ext[:-1, 1:] + ext[1:, 1:])
-        frames.append(cells)
-    return frames
+    rho = mesh.prisms(result.state.rho).mean(axis=2)
+    nodes = np.concatenate([result.bdata.ua[None], 0.5 * (rho[:-1] + rho[1:]),
+                            result.bdata.ub[None]])
+    m = mesh.prisms(result.state.m).mean(axis=2)
+    if mesh.bc == "periodic":
+        z = np.pad(result.state.z.reshape(nt + 1, nx, nx), ((0, 0), (0, 1), (0, 1)),
+                   mode="wrap")
+    else:
+        z = result.state.z.reshape(nt + 1, nx + 1, nx + 1)
+    corners = z[:, :-1, :-1] + z[:, 1:, :-1] + z[:, :-1, 1:] + z[:, 1:, 1:]
+    return cells(nodes), cells(np.hypot(m[..., 0], m[..., 1])), 0.25 * corners
 
 
 def _write_csv_grid(path, grid):
     _savetxt(path, grid, fmt="%.17g", delimiter=",")
-
-
-def _quantize(frames, norm):
-    out = []
-    for grid in frames:
-        scaled = np.clip(grid / norm, 0.0, 1.0) if norm > 0 else np.zeros_like(grid)
-        out.append(np.rint(scaled * FRAME_MAXVAL).astype(np.int64))
-    return out
 
 
 def write_outputs(result, outdir, manifest=None):
@@ -229,30 +204,33 @@ def write_outputs(result, outdir, manifest=None):
 
     Frames follow the time nodes: frame_000 reproduces the resampled
     input density u_A (up to PGM quantization) and the last frame u_B;
-    interior nodes average the adjacent slabs.  Momentum frames are per
-    slab.  Every PGM family is normalized by one per-run constant that
-    is recorded in the manifest, and each frame also gets a raw CSV for
-    quantitative use.
+    interior nodes average the adjacent slabs.  Momentum frames show the
+    magnitude of each slab's mean momentum, source frames z per time
+    node.  Every PGM family (of density, |m| and |z|) is normalized by
+    one per-run constant that is recorded in the manifest, and each
+    frame also gets a raw CSV for quantitative use.
 
     manifest.txt is the run record, one key=value line per key: the
     caller's manifest dict (what the result cannot know, such as the
     input files), the package version, nx, every setting of
-    result.config, then the run's facts, among them the infeasible
-    volume of the returned state as diagnostics.transport_energy
-    counts it.  It is written first, so that partially written runs
-    remain attributable, and rewritten with partial=true before a
-    write error propagates.
+    result.config, then the run's facts.  Among them, energy is the
+    last trace energy, read on the prox image, and state_energy and
+    infeasible_volume are diagnostics.energy_breakdown of the returned
+    state, so the two points can be compared.  It is written first, so
+    that partially written runs remain attributable, and rewritten with
+    partial=true before a write error propagates.
     """
     os.makedirs(outdir, exist_ok=True)
     mesh = result.mesh
     config = result.config
 
-    rho_frames = _density_frames(result)
-    mom_frames = _momentum_frames(result)
-    src_frames = _source_frames(result)
-    norm_rho = max((float(np.max(f)) for f in rho_frames), default=0.0)
-    norm_mom = max((float(np.max(f)) for f in mom_frames), default=0.0)
-    norm_src = max((float(np.max(np.abs(f))) for f in src_frames), default=0.0)
+    rho, mom, src = _frames(result)
+    # the PGMs show density, momentum magnitude and |source|, each family
+    # scaled by its largest value
+    families = (("frame", "density", rho, rho), ("momentum", "momentum", mom, mom),
+                ("source", "source", src, np.abs(src)))
+    norm_rho, norm_mom, norm_src = (float(shown.max()) for *_, shown in families)
+    breakdown = energy_breakdown(result.state, config.source, config.delta, mesh)
 
     record = {
         **(manifest or {}),
@@ -264,7 +242,9 @@ def write_outputs(result, outdir, manifest=None):
         "beta": config.source.beta,
         "iterations": len(result.stats),
         "converged": str(result.converged).lower(),
-        "infeasible_volume": _fmt(transport_energy(result.state, mesh)[1]),
+        "infeasible_volume": _fmt(breakdown.infeasible_volume),
+        "energy": _fmt(result.stats[-1].energy),
+        "state_energy": _fmt(breakdown.total),
         "wall_seconds": _fmt(result.wall_seconds),
         "frame_norm_rho": _fmt(norm_rho),
         "frame_norm_mom": _fmt(norm_mom),
@@ -291,13 +271,9 @@ def write_outputs(result, outdir, manifest=None):
                         "end nodes use their single slab\nt,mass,src_abs,src_pos,src_neg",
                  comments="")
 
-        families = (
-            ("frame", "density", rho_frames, _quantize(rho_frames, norm_rho)),
-            ("momentum", "momentum", mom_frames, _quantize(mom_frames, norm_mom)),
-            ("source", "source", src_frames,
-             _quantize([np.abs(f) for f in src_frames], norm_src)),
-        )
-        for pgm, csv, frames, quantized in families:
+        for (pgm, csv, frames, shown), norm in zip(families, (norm_rho, norm_mom, norm_src)):
+            scaled = np.clip(shown / norm, 0.0, 1.0) if norm > 0 else np.zeros_like(shown)
+            quantized = np.rint(scaled * FRAME_MAXVAL).astype(np.int64)
             for k, (grid, quant) in enumerate(zip(frames, quantized)):
                 write_pgm(os.path.join(outdir, f"{pgm}_{k:03d}.pgm"), quant)
                 _write_csv_grid(os.path.join(outdir, f"{csv}_{k:03d}.csv"), grid)

@@ -49,7 +49,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+# spatial boundary treatments; the first is the default of SpaceTimeMesh
+# and of SolverConfig
 BOUNDARY_CONDITIONS = ("neumann", "periodic")
+
+# Kuhn paths through the prism over a base triangle with sorted corners
+# a < b < c: entry [p, i] = (corner, dt) says that vertex i of piece p is
+# corner a, b or c of the base in time slice k + dt of slab k.
+KUHN_PATHS = np.array([
+    [(0, 0), (1, 0), (2, 0), (2, 1)],  # a -> b -> c -> c'
+    [(0, 0), (1, 0), (1, 1), (2, 1)],  # a -> b -> b' -> c'
+    [(0, 0), (0, 1), (1, 1), (2, 1)],  # a -> a' -> b' -> c'
+])
+KUHN_PATHS.flags.writeable = False
 
 # P0 fields are plain float arrays of length mesh.n_tets, P1 fields of
 # length mesh.n_dofs.  No wrapper class: shapes are part of the API.
@@ -84,7 +96,8 @@ class SpaceTimeMesh:
     nt : int
         Number of time intervals, at least 2.
     bc : str
-        Spatial boundary treatment, "neumann" or "periodic".
+        Spatial boundary treatment, one of BOUNDARY_CONDITIONS: "neumann"
+        (the default) or "periodic".
 
     Attributes
     ----------
@@ -110,7 +123,7 @@ class SpaceTimeMesh:
         psi over the unit square.
     """
 
-    def __init__(self, nx, nt, bc="neumann"):
+    def __init__(self, nx, nt, bc=BOUNDARY_CONDITIONS[0]):
         if nx < 2:
             raise ValueError(f"nx must be at least 2, got {nx}")
         if nt < 2:
@@ -144,25 +157,11 @@ class SpaceTimeMesh:
         self.tri_area = 0.5 * self.hx * self.hx
 
         # prism split: sort the base triangle by global (equivalently
-        # slice-local) index, copy it to the two bounding slices and cut
-        # along the path a -> b -> c -> top
+        # slice-local) index and cut along the three Kuhn paths
+        corner, dt = KUHN_PATHS[..., 0], KUHN_PATHS[..., 1]
+        slab = np.arange(nt, dtype=np.int64)[:, None, None, None]
         srt = np.sort(tris, axis=1)
-        a, b, c = srt[:, 0], srt[:, 1], srt[:, 2]
-        base = (np.arange(nt, dtype=np.int64) * pslice)[:, None]
-        tets = np.empty((nt, ntris, 3, 4), dtype=np.int64)
-        tets[:, :, 0, 0] = a + base
-        tets[:, :, 0, 1] = b + base
-        tets[:, :, 0, 2] = c + base
-        tets[:, :, 0, 3] = c + base + pslice
-        tets[:, :, 1, 0] = a + base
-        tets[:, :, 1, 1] = b + base
-        tets[:, :, 1, 2] = b + base + pslice
-        tets[:, :, 1, 3] = c + base + pslice
-        tets[:, :, 2, 0] = a + base
-        tets[:, :, 2, 1] = a + base + pslice
-        tets[:, :, 2, 2] = b + base + pslice
-        tets[:, :, 2, 3] = c + base + pslice
-        self.tets = tets.reshape(-1, 4)
+        self.tets = (srt[:, corner] + (slab + dt) * pslice).reshape(-1, 4)
         self.n_tets = self.tets.shape[0]
 
         # each prism of volume tri_area * ht splits into three tetrahedra
@@ -183,11 +182,7 @@ class SpaceTimeMesh:
         self.n_dofs = self.nsp * (nt + 1)
         self.tri_sdofs = sdof[tris]
 
-        self.slice_weights = np.bincount(
-            self.tri_sdofs.ravel(),
-            weights=np.full(3 * ntris, self.tri_area / 3.0),
-            minlength=self.nsp,
-        )
+        self.slice_weights = self.slice_load(np.ones(ntris))
         self.slice_weights.flags.writeable = False
 
         self._divergence = None

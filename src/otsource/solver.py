@@ -36,7 +36,7 @@ import numpy as np
 from .assembly import assemble_system, boundary_vector, project_continuity
 from .diagnostics import source_energy, transport_energy
 from .exceptions import NonConvergence
-from .mesh import SpaceTimeMesh, State
+from .mesh import BOUNDARY_CONDITIONS, SpaceTimeMesh, State
 from .prox import (
     SourceModel,
     prox_source_l1l1,
@@ -57,7 +57,7 @@ class SolverConfig:
     max_iters: int = 5000
     fp_tol: float = 1e-5
     source: SourceModel = field(default_factory=SourceModel)
-    bc: str = "neumann"
+    bc: str = BOUNDARY_CONDITIONS[0]
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta > 0):

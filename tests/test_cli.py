@@ -157,6 +157,18 @@ def test_identical_endpoints_converge_exit_0(flat_pair, capsys):
     assert "converged" in out
 
 
+def test_noise_momentum_over_vacuum_is_not_infeasible(tmp_path, capsys):
+    # identical checkerboards converge at once with |m| of the order of
+    # 1e-17 everywhere; that is vacuum, not momentum through it
+    a = _csv(tmp_path / "a.csv", [[0.0, 1.0], [1.0, 0.0]])
+    out = tmp_path / "run"
+    code = run_cli(["--a", a, "--b", a, "--nx", "4", "--nt", "2", "--out", str(out)])
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert code == 0
+    assert summary.endswith("infeasible volume 0.000e+00")
+    assert "infeasible_volume=0\n" in (out / "manifest.txt").read_text()
+
+
 def test_iteration_cap_exit_2(moving_pair, capsys):
     a, b = moving_pair
     code = run_cli(
@@ -266,8 +278,10 @@ def test_outputs_written_and_manifest_hashes(moving_pair, tmp_path, capsys):
     assert entries["sha256_a"] == file_sha256(a)
     assert entries["sha256_b"] == file_sha256(b)
     assert entries["version"].startswith("otsource-")
-    # the summary line reports the returned state's infeasible volume,
-    # the same value the manifest records
+    # the summary line reports the trace energy and the returned state's
+    # energy and infeasible volume, the values the manifest records
+    assert f"energy {float(entries['energy']):.9e} " in summary
+    assert f"state energy {float(entries['state_energy']):.9e}, " in summary
     volume = float(entries["infeasible_volume"])
     assert summary.endswith(f"infeasible volume {volume:.3e}")
 

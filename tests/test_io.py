@@ -11,6 +11,7 @@ import scipy
 import otsource
 from otsource import io
 from otsource.assembly import BoundaryData
+from otsource.diagnostics import energy_breakdown
 from otsource.exceptions import EmptyImage, NegativeValue, UnsupportedFormat
 from otsource.io import (
     file_sha256,
@@ -354,6 +355,23 @@ def test_manifest_states_each_setting_once_from_the_config(tiny_result, tmp_path
     assert len(settings) == 9
     for key, value in settings.items():
         assert entries[key] == str(value), key
+
+
+def test_manifest_energies_match_direct_calls(tiny_result, tmp_path):
+    # the last trace energy, read on the prox image, next to the energy
+    # and infeasible volume of the returned state
+    write_outputs(tiny_result, str(tmp_path))
+    lines = [line.split("=", 1) for line in (tmp_path / "manifest.txt").read_text().splitlines()]
+    keys = [key for key, _ in lines]
+    entries = dict(lines)
+    config = tiny_result.config
+    breakdown = energy_breakdown(tiny_result.state, config.source, config.delta,
+                                 tiny_result.mesh)
+    for key in ("energy", "state_energy", "infeasible_volume"):
+        assert keys.count(key) == 1, key
+    assert float(entries["energy"]) == tiny_result.stats[-1].energy
+    assert float(entries["state_energy"]) == breakdown.total
+    assert float(entries["infeasible_volume"]) == breakdown.infeasible_volume
 
 
 def test_write_error_marks_manifest_partial(tiny_result, tmp_path):

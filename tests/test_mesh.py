@@ -87,6 +87,22 @@ def test_facet_conformity():
             assert on_box, f"interior facet {facet} owned by one tet"
 
 
+@pytest.mark.parametrize("nx, nt", [(2, 2), (5, 3)])
+def test_tets_follow_the_kuhn_paths(nx, nt):
+    # reference: the three paths through each prism, vertex by vertex,
+    # in the documented element order
+    mesh = SpaceTimeMesh(nx, nt)
+    pslice = (nx + 1) ** 2
+    expect = []
+    for k in range(nt):
+        for tri in mesh.spatial_tris:
+            a, b, c = sorted(int(v) + k * pslice for v in tri)
+            a1, b1, c1 = a + pslice, b + pslice, c + pslice
+            expect += [(a, b, c, c1), (a, b, b1, c1), (a, a1, b1, c1)]
+    assert mesh.tets.dtype == np.int64
+    assert np.array_equal(mesh.tets, expect)
+
+
 def test_facet_conformity_periodic_geometry_unchanged():
     # periodic identification only remaps dofs; the geometric mesh is identical
     a = SpaceTimeMesh(2, 2)
