@@ -32,8 +32,8 @@ boundaries.  With periodic boundaries P is the system itself; with
 Neumann boundaries the two differ only on the edge nodes of the
 space-time box, and a capacitance matrix on those nodes, built once per
 system, turns two applications of P^(-1) into the exact solve.  No
-iteration runs inside the projection.  cg_solve, preconditioned by
-P^(-1), remains for checks against the assembled matrix.
+iteration runs inside the projection.  cg_solve, conjugate gradients
+preconditioned by P^(-1), remains as a check of A and of P^(-1).
 """
 
 from dataclasses import dataclass
@@ -67,23 +67,45 @@ class BoundaryData:
 class SparseSystem:
     """The projection operator A = 1/2 K + delta/2 diag(ell), solved exactly.
 
-    precond applies the inverse of the tensor-product model P of A (see
-    SpectralPreconditioner).  A and P differ only on the edge nodes
-    (see edge_nodes), so by the capacitance-matrix method of Buzbee,
-    Dorr, George and Golub (SIAM J. Numer. Anal. 8, 1971) the exact
-    inverse of A is P^(-1) corrected by one small dense matrix, built
-    here once from W = (P^(-1))_EE (_model_inverse_on_edges) and
-    C = (A - P)_EE (_edge_correction).  matrix, the assembled sparse A,
-    is only built when read.
+    With Mt, Mx, My the 1-D lumped masses and Kt, Kx, Ky the 1-D P1
+    stiffness matrices, A is close to the tensor-product model
+
+        P = 1/2 (Kt x My x Mx + Mt x Ky x Mx + Mt x My x Kx)
+            + delta/2 Mt x My x Mx,
+
+    which equals A except in the rows and columns of the edge nodes
+    (edge_nodes); with periodic boundaries it is exact.  With
+    M = Mt x My x Mx and Q = Qt x Qy x Qx the 1-D eigenbases of
+    _axis_basis, P^(-1) = M^(-1/2) Q D^(-1) Q^T M^(-1/2), where
+    D = 1/2 (lam_t + lam_y + lam_x) + delta/2 > 0 (model_inverse).  By the
+    capacitance-matrix method of Buzbee, Dorr, George and Golub (SIAM
+    J. Numer. Anal. 8, 1971) the exact inverse of A is P^(-1) corrected
+    by one small dense matrix, built here once from W = (P^(-1))_EE
+    (_model_inverse_on_edges) and C = (A - P)_EE (_edge_correction).
+    matrix, the assembled sparse A, is only built when read.
+
+    The 1-D transforms are applied as dense matrix products along each
+    axis: at axis lengths up to 129 nodes that is faster than
+    scipy.fft's transforms, and it does not load scipy.fft (about 7 MB
+    of resident memory).
     """
 
     def __init__(self, mesh, delta):
         self.mesh = mesh
         self.delta = float(delta)
-        self.precond = SpectralPreconditioner(mesh, delta)
+        lam_t, self.qt, mass_t = _axis_basis(mesh.nt, mesh.ht, False)
+        lam_s, self.qs, mass_s = _axis_basis(mesh.nx, mesh.hx, mesh.bc == "periodic")
+        self.shape = (mass_t.size, mass_s.size, mass_s.size)
+        self.scale = (
+            mass_t[:, None, None] * mass_s[None, :, None] * mass_s[None, None, :]
+        ).ravel() ** -0.5
+        self.inv_eig = 1.0 / (
+            0.5 * (lam_t[:, None, None] + lam_s[None, :, None] + lam_s[None, None, :])
+            + 0.5 * delta
+        )
         self.edges = edge_nodes(mesh)
         if self.edges.size:
-            w = _model_inverse_on_edges(mesh, self.precond, self.edges)
+            w = _model_inverse_on_edges(self)
             c = _edge_correction(mesh, delta, self.edges)
             # (I + C W)^(-1) C, the map from y_E to w in solve
             eye = np.eye(self.edges.size)
@@ -95,6 +117,15 @@ class SparseSystem:
         a = 0.5 * self.mesh.stiffness_matrix()
         return (a + (0.5 * self.delta) * sp.diags(self.mesh.lumped_mass())).tocsr()
 
+    def model_inverse(self, r):
+        """P^(-1) r, by the 1-D transforms along each axis."""
+        nt1 = self.shape[0]
+        u = (self.scale * r).reshape(nt1, -1)
+        u = (self.qt.T @ u).reshape(self.shape)
+        u = self.inv_eig * (self.qs.T @ u @ self.qs)
+        u = (self.qs @ u @ self.qs.T).reshape(nt1, -1)
+        return self.scale * (self.qt @ u).ravel()
+
     def solve(self, f):
         """The solution x of A x = f, exact up to rounding.
 
@@ -102,11 +133,11 @@ class SparseSystem:
         nodes E, W = (P^(-1))_EE and C = (A - P)_EE, Woodbury's
         identity gives x = y - P^(-1) U w with w = (I + C W)^(-1) C y_E.
         """
-        y = self.precond(f)
+        y = self.model_inverse(f)
         if self.edges.size:
             u = np.zeros_like(y)
             u[self.edges] = self._capacitance @ y[self.edges]
-            y -= self.precond(u)
+            y -= self.model_inverse(u)
         return y
 
 
@@ -166,7 +197,7 @@ def _edge_blocks(mesh):
     return [(np.array([0, nt]), perimeter), (np.arange(1, nt), corners)]
 
 
-def _model_inverse_on_edges(mesh, precond, edges):
+def _model_inverse_on_edges(system):
     """W = (P^(-1))_EE in closed form, in edge_nodes' order.
 
     W[e, f] = s_e s_f sum_a qt[k_e, a] qt[k_f, a] g[a, p_e, p_f], with
@@ -175,9 +206,9 @@ def _model_inverse_on_edges(mesh, precond, edges):
     It is built block by block of edge_nodes' products, so no array of
     size |E|^2 (nt+1) appears.
     """
-    g = _model_inverse_on_sides(precond, mesh.nx)
-    qt = precond.qt
-    blocks = _edge_blocks(mesh)
+    g = _model_inverse_on_sides(system)
+    qt = system.qt
+    blocks = _edge_blocks(system.mesh)
     w = np.block(
         [
             [
@@ -189,22 +220,22 @@ def _model_inverse_on_edges(mesh, precond, edges):
             for kr, pr in blocks
         ]
     )
-    scale = precond.scale[edges]
+    scale = system.scale[system.edges]
     return scale[:, None] * w * scale[None, :]
 
 
-def _model_inverse_on_sides(precond, n):
+def _model_inverse_on_sides(system):
     """Spatial part of P^(-1) between the points of the square's sides.
 
-    Returns g of shape (nt+1, 4(n+1), 4(n+1)), indexed like
-    _side_points, with g[a, p, q] = sum_bc qs[j_p, b] qs[i_p, c]
+    Returns g of shape (nt+1, 4(n+1), 4(n+1)) for n = mesh.nx, indexed
+    like _side_points, with g[a, p, q] = sum_bc qs[j_p, b] qs[i_p, c]
     qs[j_q, b] qs[i_q, c] / D[a, b, c] for the time eigenvalue a.  One
     index of each point sits at an end, so each block of two sides is a
     product qs X qs^T: diagonal X for parallel sides, a scaled D for
     perpendicular ones (D is symmetric in b and c).
     """
-    qs, dinv = precond.qs, precond.inv_eig
-    ns = n + 1
+    qs, dinv = system.qs, system.inv_eig
+    ns = system.mesh.nx + 1
     qe = qs[[0, -1]]
     # parallel[f, g, a] pairs the side at end f with the side at end g
     # of the same orientation
@@ -299,50 +330,6 @@ def _axis_basis(n, h, periodic):
     return lam, q, mass
 
 
-class SpectralPreconditioner:
-    """Inverse of the tensor-product model of 1/2 K + delta/2 diag(ell).
-
-    With Mt, Mx, My the 1-D lumped masses and Kt, Kx, Ky the 1-D P1
-    stiffness matrices, the model operator is
-
-        P = 1/2 (Kt x My x Mx + Mt x Ky x Mx + Mt x My x Kx)
-            + delta/2 Mt x My x Mx,
-
-    which equals the assembled operator except in the rows and columns
-    of the edge nodes (edge_nodes); with periodic boundaries it is
-    exact.  With M = Mt x My x Mx and Q = Qt x Qy x Qx the 1-D
-    eigenbases of _axis_basis, P^(-1) = M^(-1/2) Q D^(-1) Q^T M^(-1/2),
-    where D = 1/2 (lam_t + lam_y + lam_x) + delta/2.  P is symmetric
-    positive definite, so as a CG preconditioner it keeps CG's
-    guarantees.
-
-    The 1-D transforms are applied as dense matrix products along each
-    axis: at axis lengths up to 129 nodes that is faster than
-    scipy.fft's transforms, and it does not load scipy.fft (about 7 MB
-    of resident memory).
-    """
-
-    def __init__(self, mesh, delta):
-        lam_t, self.qt, mass_t = _axis_basis(mesh.nt, mesh.ht, False)
-        lam_s, self.qs, mass_s = _axis_basis(mesh.nx, mesh.hx, mesh.bc == "periodic")
-        self.shape = (mass_t.size, mass_s.size, mass_s.size)
-        self.scale = (
-            mass_t[:, None, None] * mass_s[None, :, None] * mass_s[None, None, :]
-        ).ravel() ** -0.5
-        self.inv_eig = 1.0 / (
-            0.5 * (lam_t[:, None, None] + lam_s[None, :, None] + lam_s[None, None, :])
-            + 0.5 * delta
-        )
-
-    def __call__(self, r):
-        nt1 = self.shape[0]
-        u = (self.scale * r).reshape(nt1, -1)
-        u = (self.qt.T @ u).reshape(self.shape)
-        u = self.inv_eig * (self.qs.T @ u @ self.qs)
-        u = (self.qs @ u @ self.qs.T).reshape(nt1, -1)
-        return self.scale * (self.qt @ u).ravel()
-
-
 def boundary_vector(mesh, bdata):
     """Pairings of the hat functions with the endpoint data.
 
@@ -373,15 +360,14 @@ def continuity_defect(state, b, mesh):
 
 
 def cg_solve(system, rhs, tol=1e-9, maxit=None, callback=None):
-    """Conjugate gradients from zero, preconditioned by system.precond.
+    """Conjugate gradients from zero, preconditioned by P^(-1).
 
     Stops when |A x - rhs| <= tol * |rhs|; raises NonConvergence past
     maxit (default 10 * sqrt(n) + 500).  The projection does not use
     it: SparseSystem.solve is exact.  It is kept as an independent
-    check of the assembled matrix and of the preconditioner.
+    check of system.matrix and of system.model_inverse.
     """
     a = system.matrix
-    precond = system.precond
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
     if maxit is None:
@@ -391,7 +377,7 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, callback=None):
         return np.zeros(n)
     x = np.zeros(n)
     r = rhs.copy()
-    z = precond(r)
+    z = system.model_inverse(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(maxit):
@@ -404,7 +390,7 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, callback=None):
         res = float(np.sqrt(r @ r))
         if res <= tol * bnorm:
             return x
-        z = precond(r)
+        z = system.model_inverse(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -415,7 +401,7 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, callback=None):
     )
 
 
-def project_continuity(state, b, system, return_phi=False):
+def project_continuity(state, b, system):
     """Orthogonal projection onto the continuity constraint set.
 
     b is the boundary_vector of the endpoint data, built once per solve.
@@ -426,8 +412,8 @@ def project_continuity(state, b, system, return_phi=False):
     reproduces the mass balance identity exactly: after the linear
     solve, z is shifted by the constant that zeroes this row, a
     correction at rounding level that keeps the reported mass defect
-    at rounding level on every projected iterate.  With return_phi the
-    potential phi is returned too.
+    at rounding level on every projected iterate.  Returns the
+    projected state and the potential phi.
     """
     mesh = system.mesh
     phi = system.solve(-continuity_defect(state, b, mesh))
@@ -439,8 +425,5 @@ def project_continuity(state, b, system, return_phi=False):
     lum = mesh.lumped_mass()
     z += (float(np.sum(b)) - float(lum @ z)) / float(lum.sum())
 
-    out = State(rho, m, z)
-    if return_phi:
-        return out, phi
-    return out
+    return State(rho, m, z), phi
 

@@ -160,14 +160,15 @@ def run_cli(argv=None):
             return 1
 
     last = result.stats[-1]
-    # the trace energy is read on the prox image, not on the returned
-    # state, which may hold negative density or momentum over vacuum;
-    # give both, as the manifest does
+    # the trace energy and the image defect are read on the prox image,
+    # not on the returned state, which may hold negative density or
+    # momentum over vacuum; give both points, as the manifest does
     breakdown = energy_breakdown(result.state, config.source, config.delta, result.mesh)
     print(
         f"{'converged' if result.converged else 'iteration cap reached'} "
         f"after {last.iteration} iterations: energy {last.energy:.9e} "
         f"(transport {last.transport_energy:.3e}, source {last.source_energy:.3e}), "
+        f"image defect {result.image_defect:.3e}, "
         f"state energy {breakdown.total:.9e}, "
         f"infeasible volume {breakdown.infeasible_volume:.3e}"
     )

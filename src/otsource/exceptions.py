@@ -2,7 +2,7 @@
 
 
 class NonConvergence(RuntimeError):
-    """An iterative solver hit its iteration cap.
+    """solve's fixed-point residual is not finite, or cg_solve hit its cap.
 
     Carries the number of iterations performed and the last residual so
     callers can report or retune.

@@ -16,8 +16,8 @@ Outputs are deterministic: floats carry 17 significant digits, lines
 end with a bare newline, and rerunning identical inputs reproduces the
 CSV files byte for byte at a fixed number of BLAS threads.  Under
 another thread count the projection's dense matrix products
-(assembly.SpectralPreconditioner) round differently, and the last bits
-of the iterates and the CSVs can change.
+(assembly.SparseSystem.model_inverse) round differently, and the last
+bits of the iterates and the CSVs can change.
 """
 
 import dataclasses
@@ -214,11 +214,12 @@ def write_outputs(result, outdir, manifest=None):
     caller's manifest dict (what the result cannot know, such as the
     input files), the package version, nx, every setting of
     result.config, then the run's facts.  Among them, energy is the
-    last trace energy, read on the prox image, and state_energy and
-    infeasible_volume are diagnostics.energy_breakdown of the returned
-    state, so the two points can be compared.  It is written first, so
-    that partially written runs remain attributable, and rewritten with
-    partial=true before a write error propagates.
+    last trace energy and image_defect the continuity defect over |b|,
+    both read on the prox image, and state_energy and infeasible_volume
+    are diagnostics.energy_breakdown of the returned state, so the two
+    points can be compared.  It is written first, so that partially
+    written runs remain attributable, and rewritten with partial=true
+    before a write error propagates.
     """
     os.makedirs(outdir, exist_ok=True)
     mesh = result.mesh
@@ -245,6 +246,7 @@ def write_outputs(result, outdir, manifest=None):
         "infeasible_volume": _fmt(breakdown.infeasible_volume),
         "energy": _fmt(result.stats[-1].energy),
         "state_energy": _fmt(breakdown.total),
+        "image_defect": _fmt(result.image_defect),
         "wall_seconds": _fmt(result.wall_seconds),
         "frame_norm_rho": _fmt(norm_rho),
         "frame_norm_mom": _fmt(norm_mom),

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_system, boundary_vector, project_continuity
+from .assembly import assemble_system, boundary_vector, continuity_defect, project_continuity
 from .diagnostics import source_energy, transport_energy
 from .exceptions import NonConvergence
 from .mesh import BOUNDARY_CONDITIONS, SpaceTimeMesh, State
@@ -97,6 +97,8 @@ class GeodesicResult:
     config: SolverConfig
     wall_seconds: float
     converged: bool
+    # the continuity defect of the last prox image over |b|
+    image_defect: float
     mesh: SpaceTimeMesh
     bdata: object
 
@@ -163,7 +165,7 @@ def dr_step(state_aux, b, system, config):
     A phi = -defect(state_aux) (a dual variable of the constraint).
     """
     mesh = system.mesh
-    q, phi = project_continuity(state_aux, b, system, return_phi=True)
+    q, phi = project_continuity(state_aux, b, system)
     reflected = State(
         2.0 * q.rho - state_aux.rho,
         2.0 * q.m - state_aux.m,
@@ -215,7 +217,7 @@ def solve(bdata, config, progress=None):
     b = boundary_vector(mesh, bdata)
     endpoint_mass = float(np.sum(b))
     nodal = mesh.lumped_mass()
-    aux = project_continuity(initialize(mesh, bdata), b, system)
+    aux, _ = project_continuity(initialize(mesh, bdata), b, system)
     stats = []
     feasible = aux
     converged = False
@@ -257,12 +259,16 @@ def solve(bdata, config, progress=None):
         if residual <= threshold:
             converged = True
             break
+    # relative to the boundary data, or absolute when both endpoints are empty
+    image_defect = float(np.linalg.norm(continuity_defect(image, b, mesh)))
+    image_defect /= float(np.linalg.norm(b)) or 1.0
     return GeodesicResult(
         state=feasible,
         stats=stats,
         config=config,
         wall_seconds=time.perf_counter() - t0,
         converged=converged,
+        image_defect=image_defect,
         mesh=mesh,
         bdata=bdata,
     )

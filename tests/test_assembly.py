@@ -167,12 +167,12 @@ def test_preconditioner_inverts_periodic_system():
     mesh = SpaceTimeMesh(5, 3, "periodic")
     system = assemble_system(mesh, 0.7)
     w = np.random.default_rng(5).standard_normal(mesh.n_dofs)
-    assert np.allclose(system.precond(system.matrix @ w), w, atol=1e-12)
+    assert np.allclose(system.model_inverse(system.matrix @ w), w, atol=1e-12)
 
 
 def _dense_model_inverse(system):
     """P^(-1) one column at a time, from the spectral application."""
-    return np.column_stack([system.precond(e) for e in np.eye(system.mesh.n_dofs)])
+    return np.column_stack([system.model_inverse(e) for e in np.eye(system.mesh.n_dofs)])
 
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
@@ -219,9 +219,9 @@ def test_closed_form_model_inverse_on_edges():
         system = assemble_system(mesh, delta)
         edges = edge_nodes(mesh)
         columns = np.column_stack(
-            [system.precond(np.eye(mesh.n_dofs)[e]) for e in edges]
+            [system.model_inverse(np.eye(mesh.n_dofs)[e]) for e in edges]
         )[edges]
-        w = _model_inverse_on_edges(mesh, system.precond, edges)
+        w = _model_inverse_on_edges(system)
         assert np.allclose(w, columns, rtol=0.0, atol=1e-12 * np.abs(columns).max())
 
 

@@ -278,9 +278,11 @@ def test_outputs_written_and_manifest_hashes(moving_pair, tmp_path, capsys):
     assert entries["sha256_a"] == file_sha256(a)
     assert entries["sha256_b"] == file_sha256(b)
     assert entries["version"].startswith("otsource-")
-    # the summary line reports the trace energy and the returned state's
-    # energy and infeasible volume, the values the manifest records
+    # the summary line reports the trace energy and image defect and the
+    # returned state's energy and infeasible volume, the values the
+    # manifest records
     assert f"energy {float(entries['energy']):.9e} " in summary
+    assert f"image defect {float(entries['image_defect']):.3e}, " in summary
     assert f"state energy {float(entries['state_energy']):.9e}, " in summary
     volume = float(entries["infeasible_volume"])
     assert summary.endswith(f"infeasible volume {volume:.3e}")

@@ -358,8 +358,8 @@ def test_manifest_states_each_setting_once_from_the_config(tiny_result, tmp_path
 
 
 def test_manifest_energies_match_direct_calls(tiny_result, tmp_path):
-    # the last trace energy, read on the prox image, next to the energy
-    # and infeasible volume of the returned state
+    # the last trace energy and the continuity defect, read on the prox
+    # image, next to the energy and infeasible volume of the returned state
     write_outputs(tiny_result, str(tmp_path))
     lines = [line.split("=", 1) for line in (tmp_path / "manifest.txt").read_text().splitlines()]
     keys = [key for key, _ in lines]
@@ -367,9 +367,10 @@ def test_manifest_energies_match_direct_calls(tiny_result, tmp_path):
     config = tiny_result.config
     breakdown = energy_breakdown(tiny_result.state, config.source, config.delta,
                                  tiny_result.mesh)
-    for key in ("energy", "state_energy", "infeasible_volume"):
+    for key in ("energy", "state_energy", "infeasible_volume", "image_defect"):
         assert keys.count(key) == 1, key
     assert float(entries["energy"]) == tiny_result.stats[-1].energy
+    assert float(entries["image_defect"]) == tiny_result.image_defect
     assert float(entries["state_energy"]) == breakdown.total
     assert float(entries["infeasible_volume"]) == breakdown.infeasible_volume
 

@@ -305,12 +305,12 @@ def test_solve_projections_are_exact(monkeypatch):
     # CG iteration runs inside solve
     residuals = []
 
-    def recorded(state, b, system, return_phi=False):
-        out, phi = project_continuity(state, b, system, return_phi=True)
+    def recorded(state, b, system):
+        out, phi = project_continuity(state, b, system)
         rhs = -continuity_defect(state, b, system.mesh)
         resid = np.linalg.norm(system.matrix @ phi - rhs)
         residuals.append(resid / np.linalg.norm(rhs))
-        return (out, phi) if return_phi else out
+        return out, phi
 
     def no_cg(*args, **kwargs):
         raise AssertionError("cg_solve called inside solve")
@@ -322,6 +322,34 @@ def test_solve_projections_are_exact(monkeypatch):
     # the initial projection, then one per iteration
     assert len(residuals) == 6
     assert max(residuals) <= 1e-10
+
+
+def test_image_defect_is_the_last_prox_images():
+    # the result's image_defect is the continuity defect of the prox
+    # image of the last iteration, relative to |b|; the returned state
+    # meets the constraint to rounding
+    nx, nt, iters = 4, 3, 6
+    bdata = _random_bdata(nx, seed=18)
+    cfg = SolverConfig(nt=nt, max_iters=iters, fp_tol=0.0, source=SourceModel("l2huber"))
+    result = solve(bdata, cfg)
+    mesh = SpaceTimeMesh(nx, nt, cfg.bc)
+    system = assemble_system(mesh, cfg.delta)
+    b = boundary_vector(mesh, bdata)
+    aux, _ = project_continuity(initialize(mesh, bdata), b, system)
+    for _ in range(iters):
+        aux, _, image, _, _ = dr_step(aux, b, system, cfg)
+    expected = np.linalg.norm(continuity_defect(image, b, mesh)) / np.linalg.norm(b)
+    assert result.image_defect == expected
+    assert result.image_defect > 1e-8
+    state_defect = np.linalg.norm(continuity_defect(result.state, b, mesh))
+    assert state_defect <= 1e-10 * np.linalg.norm(b)
+
+
+def test_empty_endpoints_give_zero_image_defect():
+    # with both endpoints empty, |b| = 0 and the defect is absolute
+    n = 2 * 3 * 3
+    cfg = SolverConfig(nt=2, max_iters=3, source=SourceModel("l2huber", beta=0.1))
+    assert solve(BoundaryData(np.zeros(n), np.zeros(n)), cfg).image_defect == 0.0
 
 
 def test_solve_trace_is_complete_and_finite():
