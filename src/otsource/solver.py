@@ -28,6 +28,7 @@ zero map), which recovers classical transport between endpoints of
 equal mass without changing the projection system.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -66,8 +67,8 @@ class SolverConfig:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (np.isfinite(self.fp_tol) and self.fp_tol >= 0):
             raise ValueError(f"fp_tol must be finite and nonnegative, got {self.fp_tol}")
         if isinstance(self.source, str):

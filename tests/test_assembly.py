@@ -128,6 +128,15 @@ class TestCg:
             cg_solve(system, rhs, tol=1e-14, maxit=2)
         assert info.value.iterations == 2
 
+    def test_converges_on_last_allowed_iteration(self):
+        mesh = SpaceTimeMesh(3, 3)
+        system = assemble_system(mesh, 1.0)
+        rhs = np.random.default_rng(6).standard_normal(mesh.n_dofs)
+        iters = []
+        full = cg_solve(system, rhs, tol=1e-10, callback=iters.append)
+        capped = cg_solve(system, rhs, tol=1e-10, maxit=len(iters))
+        assert np.array_equal(capped, full)
+
     def test_a_norm_error_monotone(self):
         mesh = SpaceTimeMesh(2, 3)
         system = assemble_system(mesh, 1.0)
@@ -148,9 +157,9 @@ class TestCg:
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
 def test_cold_cg_iterations_bounded(bc):
-    # the acceptance gate's time budget rests on the spectral
-    # preconditioner keeping a cold solve to a few iterations at the
-    # gate's mesh sizes, over the gate's range of delta
+    # P is a good model of A: preconditioned by P^(-1), CG solves cold
+    # in a few iterations at the gate's mesh sizes, over the gate's range
+    # of delta
     rng = np.random.default_rng(4)
     for nx, nt, delta in ((32, 8, 0.01), (32, 8, 1.0), (32, 8, 10.0), (64, 4, 1.0)):
         system = assemble_system(SpaceTimeMesh(nx, nt, bc), delta)
@@ -161,9 +170,9 @@ def test_cold_cg_iterations_bounded(bc):
         assert len(iters) <= 20, (nx, nt, delta, len(iters))
 
 
-def test_preconditioner_inverts_periodic_system():
+def test_model_inverse_inverts_periodic_system():
     # with periodic boundaries the tensor-product model is the assembled
-    # operator itself, so the preconditioner is its exact inverse
+    # operator itself, so model_inverse is its exact inverse
     mesh = SpaceTimeMesh(5, 3, "periodic")
     system = assemble_system(mesh, 0.7)
     w = np.random.default_rng(5).standard_normal(mesh.n_dofs)

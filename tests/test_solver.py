@@ -41,8 +41,10 @@ def test_config_validation():
         SolverConfig(alpha=2.0)
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
+    for value in (0, 2.5, np.nan, np.inf, "3"):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=value)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
     for value in (-1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="fp_tol"):
             SolverConfig(fp_tol=value)
@@ -484,3 +486,37 @@ def test_linear_growth_source_concentrates_on_singular_features(case):
 
     assert share_on_feature(SourceModel("l2huber", beta=1e-3)) >= 0.9
     assert share_on_feature(SourceModel("l2l2")) <= 0.5
+
+
+def _symmetry_run(ga, gb, kind, bc):
+    bdata = BoundaryData(np.repeat(ga.ravel(), 2), np.repeat(gb.ravel(), 2))
+    return solve(bdata, SolverConfig(nt=4, max_iters=60, fp_tol=0.0, source=kind, bc=bc))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+@pytest.mark.parametrize("kind", ["none", "l2l2", "l1l1", "l2huber"])
+def test_exact_symmetries(kind, bc):
+    # the discrete problem is invariant under swapping x and y and under
+    # the point reflection (t, x, y) -> (1 - t, 1 - x, 1 - y), which
+    # rotates the endpoints by 180 degrees and swaps them; the grids are
+    # indexed [y, x] like load_density's
+    rng = np.random.default_rng(11)
+    a, b = rng.random((6, 6)), rng.random((6, 6))
+    if kind == "none":
+        b *= a.sum() / b.sum()
+    base = _symmetry_run(a, b, kind, bc)
+    fields = ("energy", "transport_energy", "source_energy", "fixed_point_residual")
+
+    def traces(result):
+        out = np.array([[getattr(s, f) for s in result.stats] for f in fields])
+        scale = np.abs(out).max(axis=1, keepdims=True)
+        # the source energy of "none" is zero throughout
+        return out / np.where(scale > 0, scale, 1.0)
+
+    for other in (
+        _symmetry_run(a.T, b.T, kind, bc),
+        _symmetry_run(b[::-1, ::-1], a[::-1, ::-1], kind, bc),
+    ):
+        assert len(other.stats) == len(base.stats) == 60
+        assert np.max(np.abs(traces(other) - traces(base))) <= 1e-12
+        assert abs(other.image_defect - base.image_defect) <= 1e-12
