@@ -21,8 +21,8 @@ SPD solve
     ( 1/2 K + delta/2 diag(ell) ) phi = -defect(state)
 
 followed by the explicit updates rho += grad_t phi / 2,
-m += grad_xy phi / 2, z += delta phi / 2.  K is the space-time
-stiffness matrix, exact for P1 integrands.
+m += grad_xy phi / 2, z += delta phi / 2, by the mesh's index-array
+gradient.  K is the space-time stiffness matrix, exact for P1 integrands.
 
 On the structured mesh that system is close to a tensor product P of
 1-D P1 operators, K a 7-point stencil and ell a product of 1-D lumped
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import NonConvergence
 from .mesh import State
@@ -83,7 +82,7 @@ class SparseSystem:
     J. Numer. Anal. 8, 1971) the exact inverse of A is P^(-1) corrected
     by one small dense matrix, built here once from W = (P^(-1))_EE
     (_model_inverse_on_edges) and C = (A - P)_EE (_edge_correction).
-    matrix, the assembled sparse A, is only built when read.
+    matrix, the assembled sparse A, is built only when a check reads it.
 
     The 1-D transforms are applied as dense matrix products along each
     axis: at axis lengths up to 129 nodes that is faster than
@@ -107,14 +106,16 @@ class SparseSystem:
         self.edges = edge_nodes(mesh)
         if self.edges.size:
             w = _model_inverse_on_edges(self)
-            c = _edge_correction(mesh, delta, self.edges)
-            # (I + C W)^(-1) C, the map from y_E to w in solve
-            eye = np.eye(self.edges.size)
-            self._capacitance = np.linalg.solve(eye + c @ w, c.toarray())
+            c, cols, vals = _edge_correction(mesh, delta, self.edges)
+            # C W from C's nonzeros; (I + C W)^(-1) C maps y_E to w in solve
+            cw = sum(vals[:, s, None] * w[cols[:, s]] for s in range(cols.shape[1]))
+            self._capacitance = np.linalg.solve(np.eye(self.edges.size) + cw, c)
 
     @cached_property
     def matrix(self):
         """The assembled CSR matrix of A, built on first use."""
+        import scipy.sparse as sp  # here: a run builds no sparse matrix
+
         a = 0.5 * self.mesh.stiffness_matrix()
         return (a + (0.5 * self.delta) * sp.diags(self.mesh.lumped_mass())).tocsr()
 
@@ -251,7 +252,10 @@ def _model_inverse_on_sides(system):
 
 
 def _edge_correction(mesh, delta, edges):
-    """C = (A - P)_EE as a sparse matrix.
+    """C = (A - P)_EE, dense and as the table (cols, vals) of its nonzeros.
+
+    Row e holds vals[e, s] at column cols[e, s], zero-padded: the diagonal
+    and e's neighbours in E, three at a corner of the box, else two.
 
     Both operators are weighted graph Laplacians on the grid edges plus
     a diagonal mass: A's edge weights are the vol/h^2 of every
@@ -300,13 +304,15 @@ def _edge_correction(mesh, delta, edges):
     u, v, w = np.concatenate(us), np.concatenate(vs), 0.5 * np.concatenate(ws)
     mass = 0.5 * delta * (mesh.lumped_mass()[edges] - mt[k] * mx[j] * mx[i])
     ids = np.arange(ne)
-    return sp.csr_matrix(
-        (
-            np.concatenate([w, w, -w, -w, mass]),
-            (np.concatenate([u, v, u, v, ids]), np.concatenate([u, v, v, u, ids])),
-        ),
-        shape=(ne, ne),
-    )
+    at, pos = np.unique(np.r_[u, v, u, v, ids] * ne + np.r_[u, v, v, u, ids], return_inverse=True)
+    entries = np.bincount(pos, np.r_[w, w, -w, -w, mass])
+    c = np.zeros(ne * ne)
+    c[at] = entries
+    row, col = np.divmod(at, ne)
+    slot = np.arange(row.size) - np.searchsorted(row, row)
+    cols, vals = np.zeros((ne, 4), dtype=np.intp), np.zeros((ne, 4))
+    cols[row, slot], vals[row, slot] = col, entries
+    return c.reshape(ne, ne), cols, vals
 
 
 def _axis_basis(n, h, periodic):
@@ -346,15 +352,12 @@ def boundary_vector(mesh, bdata):
 def continuity_defect(state, b, mesh):
     """Residual of the weak continuity equation against every hat function.
 
-    b is the boundary_vector of the endpoint data.  With v the common
-    element volume and bt, bm the mesh's divergence_operators, the
-    residual is bt (v rho) + bm (v m) + ell z - b, where bm reads the
-    (n_tets, 2) momentum raveled in place.
+    b is the boundary_vector of the endpoint data.  The residual is
+    mesh.divergence(rho, m) + ell z - b: the flux paired with the hat
+    functions' gradients, plus the source by the vertex quadrature,
+    minus the boundary data.
     """
-    bt, bm, _, _ = mesh.divergence_operators()
-    vol = mesh.tet_volume
-    r = bt @ (vol * state.rho)
-    r += bm @ (vol * state.m.ravel())
+    r = mesh.divergence(state.rho, state.m)
     r += mesh.lumped_mass() * state.z
     r -= b
     return r
@@ -372,8 +375,10 @@ def cg_solve(system, rhs, tol=1e-9, maxit=None, callback=None):
     # costs as much resident memory as scipy.fft (SparseSystem)
     from scipy.sparse.linalg import LinearOperator, cg
 
-    a = system.matrix
     rhs = np.asarray(rhs, dtype=float)
+    if not rhs.any():  # SciPy would return rhs itself
+        return np.zeros_like(rhs)
+    a = system.matrix
     if maxit is None:
         maxit = int(10.0 * np.sqrt(rhs.size)) + 500
     precond = LinearOperator(a.shape, matvec=system.model_inverse, dtype=float)
@@ -392,20 +397,19 @@ def project_continuity(state, b, system):
 
     b is the boundary_vector of the endpoint data, built once per solve.
     Solves the SPD potential system exactly (SparseSystem.solve), then
-    applies the explicit update with the transposed views of the mesh's
-    divergence_operators, which give the time and the spatial gradient
-    of phi in the layouts of rho and m.  The output tested against psi = 1
-    reproduces the mass balance identity exactly: after the linear
-    solve, z is shifted by the constant that zeroes this row, a
-    correction at rounding level that keeps the reported mass defect
-    at rounding level on every projected iterate.  Returns the
-    projected state and the potential phi.
+    applies the explicit update with mesh.gradient, which gives the
+    time and the spatial gradient of phi in the layouts of rho and m.
+    The output tested against psi = 1 reproduces the mass balance
+    identity exactly: after the linear solve, z is shifted by the
+    constant that zeroes this row, a correction at rounding level that
+    keeps the reported mass defect at rounding level on every projected
+    iterate.  Returns the projected state and the potential phi.
     """
     mesh = system.mesh
     phi = system.solve(-continuity_defect(state, b, mesh))
-    _, _, grad_t, grad_m = mesh.divergence_operators()
-    rho = state.rho + 0.5 * (grad_t @ phi)
-    m = state.m + 0.5 * (grad_m @ phi).reshape(-1, 2)
+    grad_t, grad_m = mesh.gradient(phi)
+    rho = state.rho + 0.5 * grad_t
+    m = state.m + 0.5 * grad_m
     z = state.z + (0.5 * system.delta) * phi
 
     lum = mesh.lumped_mass()

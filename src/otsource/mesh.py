@@ -12,12 +12,10 @@ the same volume, tet_volume = hx^2 ht / 6, and the path through its
 four vertices steps once along each axis, so each gradient component of
 a P1 field is one difference of two nodal values over the grid spacing.
 
-The mesh assembles these differences once, as the two sparse
-divergence operators of divergence_operators in the layout of State:
-Bt acts on a P0 field and Bm on the (n_tets, 2) momentum raveled in
-place.  Their transposes, kept as views of the same arrays, are the
-gradient, and the mesh holds no other copy of it: the stiffness matrix
-is v (Bt Bt^T + Bm Bm^T) with v the element volume.
+The projection's divergence B = D S and its adjoint, the gradient,
+are index arrays (step_edges): S picks, per element and axis, the grid
+edge its step runs along, and D differences the ends of each grid edge
+over the spacing.  A run builds no sparse matrix.
 
 Tetrahedra are numbered slab by slab, triangle by triangle: element
 e = (k * ntris + t) * 3 + p is Kuhn piece p of the prism over spatial
@@ -47,7 +45,6 @@ contiguous block [k*nsp, (k+1)*nsp).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # spatial boundary treatments; the first is the default of SpaceTimeMesh
 # and of SolverConfig
@@ -84,8 +81,7 @@ class State:
 class SpaceTimeMesh:
     """Conforming tetrahedral mesh of [0,1] x (0,1)^2.
 
-    The P1 gradient is assembled once, on first use, as
-    divergence_operators; stiffness_matrix and the projection read it.
+    gradient and divergence read the step_edges, built on first use.
     The element volume is one scalar, and an element's time slab and
     spatial triangle are axes of prisms, not stored index arrays.
 
@@ -142,9 +138,7 @@ class SpaceTimeMesh:
         # spatial triangulation; the split diagonal runs from the cell
         # corner (i, j) to (i+1, j+1), the lexicographically smallest
         # corner having the smallest slice-local index
-        ci, cj = np.meshgrid(np.arange(nx), np.arange(nx), indexing="xy")
-        ci = ci.ravel()
-        cj = cj.ravel()
+        cj, ci = np.divmod(np.arange(nx * nx), nx)
         v00 = cj * npt + ci
         v10 = v00 + 1
         v01 = v00 + npt
@@ -185,61 +179,84 @@ class SpaceTimeMesh:
         self.slice_weights = self.slice_load(np.ones(ntris))
         self.slice_weights.flags.writeable = False
 
-        self._divergence = None
+        self._inv_h = 1.0 / np.array([self.ht, self.hx, self.hx])
+        self._steps = None
         self._lumped = None
 
-    # -- assembled operators -------------------------------------------------
+    # -- the projection's operators ------------------------------------------
 
-    def divergence_operators(self):
-        """Sparse divergence and gradient in the layout of State, built once.
+    def step_edges(self):
+        """S and D as index arrays (edge_t, edge_m, ahead), built once.
 
-        Returns (bt, bm, grad_t, grad_m).  bt, of shape (n_dofs, n_tets),
-        and bm, of shape (n_dofs, 2 n_tets), are CSR; the columns of bm
-        interleave the x and y components, so bm acts on m.ravel() of
-        an (n_tets, 2) momentum.  grad_t = bt.T and grad_m = bm.T are
-        transposed views of the same arrays: grad_t @ phi is the time
-        component of the elementwise gradient and
-        (grad_m @ phi).reshape(n_tets, 2) the spatial one.  Together
-        they hold 6 n_tets nonzeros, two per gradient component of each
-        tetrahedron: -1/h at the dof before its step along that axis and
-        +1/h at the dof after.  This is the mesh's one assembled
-        gradient; stiffness_matrix is built from it.
+        Grid edges along t, x and y are numbered by the dof they start
+        at plus 0, n_dofs and 2 n_dofs.  edge_t and edge_m name each
+        element's steps in the layouts of rho and m; edge ahead[i]
+        starts where edge i ends.
         """
-        if self._divergence is None:
-            self._divergence = self._build_divergence_operators()
-        return self._divergence
+        if self._steps is None:
+            self._steps = self._build_step_edges()
+        return self._steps
 
-    def _build_divergence_operators(self):
-        # the Kuhn path of every tetrahedron steps once along each axis,
-        # by stride (nx+1)^2 in t, 1 in x and nx+1 in y; ends are the dofs
-        # before and after that step
-        npt = self.nx + 1
-        steps = np.diff(self.tets, axis=1)
-        ends_t, ends_x, ends_y = (
-            np.take_along_axis(
-                self.tet_dofs,
-                np.argmax(steps == stride, axis=1)[:, None] + [0, 1],
-                axis=1,
-            )
-            for stride in (npt * npt, 1, npt)
-        )
-        bt = _step_differences(ends_t, self.ht, self.n_dofs).tocsr()
-        ends_m = np.stack([ends_x, ends_y], axis=1).reshape(-1, 2)
-        bm = _step_differences(ends_m, self.hx, self.n_dofs).tocsr()
-        return bt, bm, bt.T, bm.T
+    def _build_step_edges(self):
+        # the step along t leaves the path's last vertex at dt = 0, a -> b
+        # its last at corner a, b -> c its last at b; a -> b runs along x
+        # in a cell's first triangle (00, 10, 11), along y in (00, 01, 11)
+        corner, dt = KUHN_PATHS[..., 0], KUHN_PATHS[..., 1]
+        at_t, at_ab, at_bc = (s.sum(axis=1) - 1 for s in (dt == 0, corner == 0, corner <= 1))
+        dofs = self.tet_dofs.reshape(self.nt, -1, 2, 3, 4)
+        tri, piece = np.ogrid[:2, :3]
+
+        def starts(at, axis):
+            edges = dofs[:, :, tri, piece, at].ravel() + axis * self.n_dofs
+            return edges.astype(np.intp, copy=False)
+
+        edge_m = np.column_stack([starts([at_ab, at_bc], 1), starts([at_bc, at_ab], 2)])
+        # cyclic: on a periodic axis that is the identification, and on
+        # the others no step starts at the last node
+        ns = self.nx + 1 if self.bc == "neumann" else self.nx
+        grid = np.arange(3 * self.n_dofs, dtype=np.intp).reshape(3, self.nt + 1, ns, ns)
+        ahead = np.concatenate([np.roll(g, -1, axis).ravel() for g, axis in zip(grid, (0, 2, 1))])
+        return starts(at_t, 0), edge_m, ahead
+
+    def gradient(self, phi):
+        """B^T phi: the (t, x, y) gradient in the layouts of rho and m.
+
+        The differences of phi / h along the grid edges (D), read at
+        the step_edges (S); (n_tets,) and (n_tets, 2) arrays.
+        """
+        edge_t, edge_m, ahead = self.step_edges()
+        u = np.multiply.outer(self._inv_h, phi).ravel()
+        d = u[ahead] - u
+        return d[edge_t], d[edge_m]
+
+    def divergence(self, rho, m):
+        """B (v rho, v m): the flux paired with every hat's gradient.
+
+        The flux summed onto its step_edges (S^T), times v / h (v the
+        element volume), then the adjoint differences (D^T).
+        """
+        edge_t, edge_m, ahead = self.step_edges()
+        n = self.n_dofs
+        f = np.bincount(edge_m.ravel(), m.ravel(), minlength=3 * n)
+        f[:n] = np.bincount(edge_t, rho, minlength=n)
+        f.reshape(3, n)[...] *= (self.tet_volume * self._inv_h)[:, None]
+        return (np.bincount(ahead, f, minlength=3 * n) - f).reshape(3, n).sum(axis=0)
 
     def stiffness_matrix(self):
-        """P1 stiffness matrix for the full space-time gradient, CSR.
+        """P1 space-time stiffness matrix D^T diag(v c / h^2) D, CSR.
 
-        v (Bt Bt^T + Bm Bm^T) with v the element volume and Bt, Bm the
-        divergence_operators; built on every call (SparseSystem.matrix
-        keeps its own copy).  Exactly symmetric as assembled: each
-        entry of one product sums identical terms (1/h^2 on the
-        diagonal, -1/h^2 off it), so (i, j) and (j, i) round alike in
-        any summation order.
+        c counts the elements stepping along each grid edge.  Built on
+        every call; exactly symmetric, as D holds only -1 and +1.
         """
-        bt, bm, grad_t, grad_m = self.divergence_operators()
-        return self.tet_volume * (bt @ grad_t + bm @ grad_m)
+        import scipy.sparse as sp  # here: a run builds no sparse matrix
+
+        edge_t, edge_m, ahead = self.step_edges()
+        n, edges = self.n_dofs, np.arange(3 * self.n_dofs)
+        ends = (np.r_[edges, edges], np.r_[edges, ahead] % n)
+        d = sp.csr_matrix((np.repeat([-1.0, 1.0], 3 * n), ends), shape=(3 * n, n))
+        counts = np.bincount(np.r_[edge_t, edge_m.ravel()], minlength=3 * n)
+        weight = np.repeat(self.tet_volume * self._inv_h**2, n) * counts
+        return (d.T @ sp.diags(weight) @ d).tocsr()
 
     def lumped_mass(self):
         """Integral of each hat function, the nodal weights ell.
@@ -248,11 +265,8 @@ class SpaceTimeMesh:
         every tetrahedron that carries it.
         """
         if self._lumped is None:
-            self._lumped = np.bincount(
-                self.tet_dofs.ravel(),
-                weights=np.full(4 * self.n_tets, self.tet_volume / 4.0),
-                minlength=self.n_dofs,
-            )
+            count = np.bincount(self.tet_dofs.ravel(), minlength=self.n_dofs)
+            self._lumped = count * (self.tet_volume / 4.0)
         return self._lumped
 
     def prisms(self, p0):
@@ -275,33 +289,15 @@ class SpaceTimeMesh:
         of the density.
         """
         density = np.asarray(density, dtype=float)
-        if density.shape != (self.spatial_tris.shape[0],):
-            raise ValueError(
-                f"expected {self.spatial_tris.shape[0]} triangle values, "
-                f"got shape {density.shape}"
-            )
-        return np.bincount(
-            self.tri_sdofs.ravel(),
-            weights=np.repeat(density * (self.tri_area / 3.0), 3),
-            minlength=self.nsp,
-        )
+        ntris = self.spatial_tris.shape[0]
+        if density.shape != (ntris,):
+            raise ValueError(f"expected {ntris} triangle values, got shape {density.shape}")
+        weights = np.repeat(density * (self.tri_area / 3.0), 3)
+        return np.bincount(self.tri_sdofs.ravel(), weights, minlength=self.nsp)
 
     def time_weights(self):
         """Lumped quadrature weights over the time nodes (trapezoid)."""
         w = np.full(self.nt + 1, self.ht)
-        w[0] = 0.5 * self.ht
-        w[-1] = 0.5 * self.ht
+        w[[0, -1]] = 0.5 * self.ht
         return w
 
-
-def _step_differences(ends, h, n_dofs):
-    """Transpose of the map from P1 values to the steps' differences.
-
-    A CSC matrix of shape (n_dofs, len(ends)) whose column e holds -1/h
-    at dof ends[e, 0] and +1/h at dof ends[e, 1].
-    """
-    n = ends.shape[0]
-    return sp.csc_matrix(
-        (np.tile([-1.0 / h, 1.0 / h], n), ends.ravel(), np.arange(0, 2 * n + 1, 2)),
-        shape=(n_dofs, n),
-    )

@@ -100,6 +100,16 @@ class TestCg:
         phi = cg_solve(system, np.zeros(system.matrix.shape[0]))
         assert np.array_equal(phi, np.zeros_like(phi))
 
+    def test_result_shares_no_memory_with_rhs(self):
+        # SciPy's cg hands back its own b when b = 0; writing into the
+        # returned potential must not change the caller's right-hand side
+        mesh = SpaceTimeMesh(3, 2)
+        system = assemble_system(mesh, 1.0)
+        rng = np.random.default_rng(4)
+        for rhs in (np.zeros(mesh.n_dofs), rng.standard_normal(mesh.n_dofs)):
+            phi = cg_solve(system, rhs)
+            assert not np.shares_memory(phi, rhs)
+
     def test_recovers_manufactured_solution(self):
         mesh = SpaceTimeMesh(2, 2)
         system = assemble_system(mesh, 1.0)
@@ -217,7 +227,11 @@ def test_edge_nodes_are_the_support_of_the_model_defect(bc):
             assert edges.size == 0
             continue
         assert edges.size == 4 * (nt + 1) + 8 * (nx - 1)
-        block = _edge_correction(mesh, delta, edges).toarray()
+        block, cols, vals = _edge_correction(mesh, delta, edges)
+        assert cols.shape == vals.shape == (edges.size, 4)
+        table = np.zeros_like(block)
+        np.add.at(table, (np.arange(edges.size)[:, None], cols), vals)
+        assert np.array_equal(table, block)
         expected = defect[np.ix_(edges, edges)]
         assert np.allclose(block, expected, rtol=0.0, atol=1e-10 * scale)
 
@@ -295,15 +309,15 @@ def test_continuity_defect_matches_element_assembly(bc, nx, nt):
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
-def test_solve_builds_divergence_operators_once(monkeypatch):
+def test_solve_builds_step_edges_once(monkeypatch):
     calls = []
-    build = SpaceTimeMesh._build_divergence_operators
+    build = SpaceTimeMesh._build_step_edges
 
     def counting(mesh):
         calls.append(mesh)
         return build(mesh)
 
-    monkeypatch.setattr(SpaceTimeMesh, "_build_divergence_operators", counting)
+    monkeypatch.setattr(SpaceTimeMesh, "_build_step_edges", counting)
     rng = np.random.default_rng(5)
     bdata = BoundaryData(rng.uniform(0.2, 1.0, 32), rng.uniform(0.2, 1.0, 32))
     result = solve(bdata, SolverConfig(nt=3, max_iters=20, fp_tol=0.0))

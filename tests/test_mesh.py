@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from otsource.diagnostics import source_energy
 from otsource.mesh import SpaceTimeMesh
@@ -19,11 +20,38 @@ def _node_coords(mesh):
 def _gradient(mesh, phi):
     """Per-element (t, x, y) gradient of a P1 field, shape (n_tets, 3).
 
-    Read through the transposed views of divergence_operators, which the
-    projection applies to the potential.
+    Read through mesh.gradient, which the projection applies to the
+    potential.
     """
-    _, _, grad_t, grad_m = mesh.divergence_operators()
-    return np.column_stack([grad_t @ phi, (grad_m @ phi).reshape(-1, 2)])
+    grad_t, grad_m = mesh.gradient(phi)
+    return np.column_stack([grad_t, grad_m])
+
+
+def _csr_divergence(mesh):
+    """The divergence as CSR matrices (bt, bm) built from the vertex table.
+
+    Each element's Kuhn path steps once along each axis, by stride
+    (nx+1)^2 in t, 1 in x and nx+1 in y; column e of bt (and columns
+    2e, 2e+1 of bm) hold -1/h at the dof before that step and +1/h at
+    the dof after it.  Their transposes are the gradient.
+    """
+    npt = mesh.nx + 1
+    steps = np.diff(mesh.tets, axis=1)
+    ends_t, ends_x, ends_y = (
+        np.take_along_axis(
+            mesh.tet_dofs, np.argmax(steps == stride, axis=1)[:, None] + [0, 1], axis=1
+        )
+        for stride in (npt * npt, 1, npt)
+    )
+
+    def differences(ends, h):
+        n = ends.shape[0]
+        data = np.tile([-1.0 / h, 1.0 / h], n)
+        shape = (mesh.n_dofs, n)
+        return sp.csc_matrix((data, ends.ravel(), np.arange(0, 2 * n + 1, 2)), shape=shape)
+
+    ends_m = np.stack([ends_x, ends_y], axis=1).reshape(-1, 2)
+    return differences(ends_t, mesh.ht).tocsr(), differences(ends_m, mesh.hx).tocsr()
 
 
 def test_counts_small():
@@ -146,9 +174,10 @@ def test_gradient_matches_inverse_jacobian(bc):
     phi = np.random.default_rng(3).standard_normal(mesh.n_dofs)
     expect = np.einsum("ecv,ev->ec", basis, phi[mesh.tet_dofs])
     assert np.allclose(_gradient(mesh, phi), expect, rtol=0.0, atol=1e-12)
-    bt, bm, _, _ = mesh.divergence_operators()
-    assert bt.nnz == 2 * mesh.n_tets
-    assert bm.nnz == 4 * mesh.n_tets
+    edge_t, edge_m, ahead = mesh.step_edges()
+    assert edge_t.shape == (mesh.n_tets,) and edge_m.shape == (mesh.n_tets, 2)
+    assert ahead.shape == (3 * mesh.n_dofs,)
+    assert edge_t.dtype == edge_m.dtype == ahead.dtype == np.intp
     assert mesh.tet_volume == pytest.approx(mesh.hx**2 * mesh.ht / 6, rel=1e-15, abs=0)
     assert np.allclose(vol, mesh.tet_volume, rtol=1e-13, atol=0.0)
 
@@ -278,22 +307,34 @@ def test_neumann_tet_dofs_share_tets():
 @pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES)
 def test_divergence_operators_are_adjoint_to_the_gradient(bc, nx, nt):
     mesh = SpaceTimeMesh(nx, nt, bc=bc)
-    bt, bm, grad_t, grad_m = mesh.divergence_operators()
-    assert bt.shape == (mesh.n_dofs, mesh.n_tets)
-    assert bm.shape == (mesh.n_dofs, 2 * mesh.n_tets)
-    # the gradient is a view of the divergence, not a second copy
-    assert bt.nnz + bm.nnz == 6 * mesh.n_tets
-    assert np.shares_memory(grad_t.data, bt.data)
-    assert np.shares_memory(grad_m.data, bm.data)
     rng = np.random.default_rng(nx * 10 + nt)
     phi = rng.standard_normal(mesh.n_dofs)
     rho = rng.standard_normal(mesh.n_tets)
     m = rng.standard_normal((mesh.n_tets, 2))
     v = mesh.tet_volume
-    lhs = phi @ (bt @ (v * rho) + bm @ (v * m.ravel()))
-    g_t, g_m = grad_t @ phi, (grad_m @ phi).reshape(-1, 2)
+    lhs = phi @ mesh.divergence(rho, m)
+    g_t, g_m = mesh.gradient(phi)
     rhs = v * (g_t @ rho + np.sum(g_m * m))
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("bc,nx,nt", OPERATOR_MESHES + [("neumann", 8, 4), ("periodic", 8, 4)])
+def test_operators_match_the_csr_divergence(bc, nx, nt):
+    # the gradient is the same arithmetic as the CSR transposes, bit for
+    # bit; the divergence sums in another order, to rounding level
+    mesh = SpaceTimeMesh(nx, nt, bc=bc)
+    bt, bm = _csr_divergence(mesh)
+    rng = np.random.default_rng(nx * 10 + nt)
+    phi = rng.standard_normal(mesh.n_dofs)
+    g_t, g_m = mesh.gradient(phi)
+    assert np.array_equal(g_t, bt.T @ phi)
+    assert np.array_equal(g_m, (bm.T @ phi).reshape(-1, 2))
+    rho = rng.standard_normal(mesh.n_tets)
+    m = rng.standard_normal((mesh.n_tets, 2))
+    v = mesh.tet_volume
+    expect = bt @ (v * rho) + bm @ (v * m.ravel())
+    got = mesh.divergence(rho, m)
+    assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("bc", ["neumann", "periodic"])
