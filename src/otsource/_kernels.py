@@ -34,15 +34,13 @@ def project_paraboloid(a, bx, by):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
         raise RootFindFailure("non-finite input to paraboloid projection")
 
-    out_a = a.copy()
-    out_bx = bx.copy()
-    out_by = by.copy()
     idx = np.nonzero(a + 0.25 * q > 0.0)[0]
     if idx.size == 0:
-        return out_a, out_bx, out_by
+        return a.copy(), bx.copy(), by.copy()
 
     av = a[idx]
     qv = q[idx]
+    del q
     s = largest_cubic_root((av + 2.0) / 6.0, 0.125 * qv)
 
     # one Newton step on (a - lam) s^2 + |b|^2/4 = 0 polishes the root
@@ -54,7 +52,13 @@ def project_paraboloid(a, bx, by):
     pbx = bx[idx] * scale
     pby = by[idx] * scale
     # the clamp absorbs the last rounding error: a* + |b*|^2/4 <= 0 exactly
-    out_a[idx] = np.minimum(av - lam, -0.25 * (pbx * pbx + pby * pby))
+    pa = np.minimum(av - lam, -0.25 * (pbx * pbx + pby * pby))
+
+    # the full-size outputs are made last, once q and the root's
+    # temporaries are gone, so the kernel's peak holds none of them
+    del av, qv, s, f, lam, scale
+    out_a, out_bx, out_by = a.copy(), bx.copy(), by.copy()
+    out_a[idx] = pa
     out_bx[idx] = pbx
     out_by[idx] = pby
     return out_a, out_bx, out_by

@@ -217,9 +217,14 @@ def write_outputs(result, outdir, manifest=None):
     last trace energy and image_defect the continuity defect over |b|,
     both read on the prox image, and state_energy and infeasible_volume
     are diagnostics.energy_breakdown of the returned state, so the two
-    points can be compared.  It is written first, so that partially
-    written runs remain attributable, and rewritten with partial=true
-    before a write error propagates.
+    points can be compared.  Trust state_energy to about 1e-9 relative,
+    not to the last digits: elements whose density sits just above the
+    vacuum cut 1e-12 max rho add |m|^2 / rho and amplify rounding, so
+    exactly symmetric runs differ there by up to 5.6e-11 relative and a
+    change of summation order moved it by 1.6e-10, while their trace
+    energies agree to about 1e-15.  The manifest is written first, so
+    that partially written runs remain attributable, and rewritten with
+    partial=true before a write error propagates.
     """
     os.makedirs(outdir, exist_ok=True)
     mesh = result.mesh

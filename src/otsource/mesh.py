@@ -42,6 +42,7 @@ identification, so the slice of a P1 field at time node k is the
 contiguous block [k*nsp, (k+1)*nsp).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,14 +121,17 @@ class SpaceTimeMesh:
     """
 
     def __init__(self, nx, nt, bc=BOUNDARY_CONDITIONS[0]):
-        if nx < 2:
-            raise ValueError(f"nx must be at least 2, got {nx}")
-        if nt < 2:
-            raise ValueError(f"nt must be at least 2, got {nt}")
+        for name, value in (("nx", nx), ("nt", nt)):
+            # a float count would build int(value) cells of width 1/value,
+            # a mesh that stops short of the unit interval
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 2:
+                raise ValueError(f"{name} must be at least 2, got {value}")
         if bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
-        self.nx = int(nx)
-        self.nt = int(nt)
+        self.nx = nx = int(nx)
+        self.nt = nt = int(nt)
         self.bc = bc
         self.hx = 1.0 / nx
         self.ht = 1.0 / nt

@@ -79,9 +79,16 @@ def prox_transport(rho, m, gamma):
     pa, pbx, pby = _kernels.project_paraboloid(
         rho / gamma, m[:, 0] / gamma, m[:, 1] / gamma
     )
-    out_rho = rho - gamma * pa
-    out_m = m - gamma * np.column_stack([pbx, pby])
-    return out_rho, out_m
+    # rho - gamma a* and m - gamma b*, built in place: negating the
+    # product is exact, so rho + (-gamma a*) rounds like rho - gamma a*
+    pa *= -gamma
+    pa += rho
+    out_m = np.empty_like(m)
+    out_m[:, 0] = pbx
+    out_m[:, 1] = pby
+    out_m *= -gamma
+    out_m += m
+    return pa, out_m
 
 
 def prox_source_l2l2(z, gamma):

@@ -61,6 +61,8 @@ class SolverConfig:
     bc: str = BOUNDARY_CONDITIONS[0]
 
     def __post_init__(self):
+        if not (isinstance(self.nt, numbers.Integral) and self.nt >= 2):
+            raise ValueError(f"nt must be an integer >= 2, got {self.nt!r}")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
@@ -220,10 +222,14 @@ def solve(bdata, config, progress=None):
     nodal = mesh.lumped_mass()
     aux, _ = project_continuity(initialize(mesh, bdata), b, system)
     stats = []
-    feasible = aux
     converged = False
     threshold = None
     for it in range(1, config.max_iters + 1):
+        # the last step's projected point and prox image have been read;
+        # dropped here, they free their arrays before the next step
+        # allocates, instead of living through it as a tuple assignment
+        # would keep them
+        feasible = image = None
         aux, feasible, image, residual, _ = dr_step(aux, b, system, config)
         if not np.isfinite(residual):
             raise NonConvergence(

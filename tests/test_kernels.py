@@ -152,6 +152,28 @@ def test_mixed_branches_equal_separate_calls():
         assert np.array_equal(out[cardano], part_cardano)
 
 
+def _inside_points(n, seed):
+    rng = np.random.default_rng(seed)
+    bx, by = rng.uniform(-4.0, 4.0, (2, n))
+    return -0.25 * (bx * bx + by * by) - rng.uniform(0.0, 2.0, n), bx, by
+
+
+@pytest.mark.parametrize("points", [_inside_points(500, 2), _random_points(500, 3)],
+                         ids=["all inside K", "mixed"])
+def test_outputs_are_fresh_arrays_and_inputs_unchanged(points):
+    before = [x.copy() for x in points]
+    out = project_paraboloid(*points)
+    for o in out:
+        for x in points:
+            assert not np.shares_memory(o, x)
+    for x, x0 in zip(points, before):
+        assert x.tobytes() == x0.tobytes()
+    inside = _slack(*before) <= 0.0
+    assert inside.any()
+    for o, x0 in zip(out, before):
+        assert o[inside].tobytes() == x0[inside].tobytes()
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_largest_cubic_root_against_companion_roots(sign):
     # m >= 0 takes Cardano's branch only; m < 0 with small r has three

@@ -90,6 +90,19 @@ def test_bad_args_rejected():
         SpaceTimeMesh(2, 2, bc="dirichlet")
 
 
+def test_non_integral_sizes_rejected():
+    # 4.5 time intervals would build 4 slabs of width 1/4.5, which stop
+    # at t = 0.889; a float nx used to fail inside NumPy instead
+    with pytest.raises(ValueError, match="nt must be an integer, got 4.5"):
+        SpaceTimeMesh(4, 4.5)
+    with pytest.raises(ValueError, match="nx must be an integer, got 4.0"):
+        SpaceTimeMesh(4.0, 4)
+    mesh = SpaceTimeMesh(np.int64(4), np.int32(3))
+    assert (mesh.nx, mesh.nt) == (4, 3)
+    assert type(mesh.nx) is int and type(mesh.nt) is int
+    assert mesh.hx == 0.25 and mesh.ht == 1.0 / 3.0
+
+
 def _facet_counts(mesh):
     counts = {}
     for tet in mesh.tets:

@@ -90,6 +90,27 @@ class TestTransportProx:
             assert np.max(np.abs(pm[:, 0] + gamma * kbx - m[:, 0])) <= 1e-12
             assert np.max(np.abs(pm[:, 1] + gamma * kby - m[:, 1])) <= 1e-12
 
+    @pytest.mark.parametrize("gamma", [0.002, 0.7, 1.0])
+    def test_is_the_moreau_formula_bit_for_bit(self, gamma):
+        # prox_transport builds rho - gamma a* and m - gamma b* in the
+        # kernel's outputs; that must round exactly like the formula,
+        # signed zeros included, and leave the inputs alone
+        rng = np.random.default_rng(9)
+        n = 3000
+        rho = rng.uniform(-3, 3, n)
+        m = rng.uniform(-3, 3, (n, 2))
+        rho[:20] = 0.0
+        rho[20:40] = -0.0
+        m[:30] = 0.0
+        m[30:40] = -0.0
+        rho0, m0 = rho.copy(), m.copy()
+        pa, pbx, pby = project_paraboloid(rho / gamma, m[:, 0] / gamma,
+                                          m[:, 1] / gamma)
+        pr, pm = prox_transport(rho, m, gamma)
+        assert pr.tobytes() == (rho - gamma * pa).tobytes()
+        assert pm.tobytes() == (m - gamma * np.column_stack([pbx, pby])).tobytes()
+        assert rho.tobytes() == rho0.tobytes() and m.tobytes() == m0.tobytes()
+
     def test_output_density_nonnegative(self):
         rng = np.random.default_rng(8)
         rho = rng.uniform(-2, 2, 500)
