@@ -27,6 +27,17 @@ from .prox import SOURCE_KINDS, SourceModel
 from .solver import SolverConfig, solve
 
 
+def _stride(text):
+    """The type of --log-every: an integer of at least 0, 0 for no prints."""
+    try:
+        stride = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if stride < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {stride}")
+    return stride
+
+
 def build_parser(exit_on_error=True):
     config = SolverConfig()
     p = argparse.ArgumentParser(
@@ -52,7 +63,7 @@ def build_parser(exit_on_error=True):
     p.add_argument("--scale", type=float, help="input value scale (default: maxval to 1.0)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="key=value option file")
-    p.add_argument("--log-every", dest="log_every", type=int, default=0,
+    p.add_argument("--log-every", dest="log_every", type=_stride, default=0,
                    help="progress print stride")
     return p
 

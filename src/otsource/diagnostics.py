@@ -70,8 +70,8 @@ def source_energy(z, model, delta, mesh):
     divided by delta (trapezoid weights, so a constant slice cost
     integrates to exactly its square).
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     if model.kind == "none":
         return 0.0
     z = np.asarray(z, dtype=float)

@@ -82,9 +82,9 @@ class State:
 class SpaceTimeMesh:
     """Conforming tetrahedral mesh of [0,1] x (0,1)^2.
 
-    gradient and divergence read the step_edges, built on first use.
-    The element volume is one scalar, and an element's time slab and
-    spatial triangle are axes of prisms, not stored index arrays.
+    gradient, divergence and edge_weights read the step_edges, built on
+    first use.  The element volume is one scalar, and an element's time
+    slab and spatial triangle are axes of prisms, not stored index arrays.
 
     Parameters
     ----------
@@ -246,21 +246,30 @@ class SpaceTimeMesh:
         f.reshape(3, n)[...] *= (self.tet_volume * self._inv_h)[:, None]
         return (np.bincount(ahead, f, minlength=3 * n) - f).reshape(3, n).sum(axis=0)
 
-    def stiffness_matrix(self):
-        """P1 space-time stiffness matrix D^T diag(v c / h^2) D, CSR.
+    def edge_weights(self):
+        """v c / h^2 per grid edge, laid out like divergence's flux.
 
-        c counts the elements stepping along each grid edge.  Built on
-        every call; exactly symmetric, as D holds only -1 and +1.
+        c counts the elements whose Kuhn path steps along the edge, 0 on
+        the cyclic edges past a Neumann side or a time end.
+        """
+        edge_t, edge_m, _ = self.step_edges()
+        counts = np.bincount(edge_m.ravel(), minlength=3 * self.n_dofs).reshape(3, -1)
+        counts[0] += np.bincount(edge_t, minlength=self.n_dofs)
+        return (counts * (self.tet_volume * self._inv_h**2)[:, None]).ravel()
+
+    def stiffness_matrix(self):
+        """P1 space-time stiffness matrix D^T diag(edge_weights()) D, CSR.
+
+        D differences the two ends of each grid edge.  Built on every
+        call; exactly symmetric, as D holds only -1 and +1.
         """
         import scipy.sparse as sp  # here: a run builds no sparse matrix
 
-        edge_t, edge_m, ahead = self.step_edges()
+        _, _, ahead = self.step_edges()
         n, edges = self.n_dofs, np.arange(3 * self.n_dofs)
         ends = (np.r_[edges, edges], np.r_[edges, ahead] % n)
         d = sp.csr_matrix((np.repeat([-1.0, 1.0], 3 * n), ends), shape=(3 * n, n))
-        counts = np.bincount(np.r_[edge_t, edge_m.ravel()], minlength=3 * n)
-        weight = np.repeat(self.tet_volume * self._inv_h**2, n) * counts
-        return (d.T @ sp.diags(weight) @ d).tocsr()
+        return (d.T @ sp.diags(self.edge_weights()) @ d).tocsr()
 
     def lumped_mass(self):
         """Integral of each hat function, the nodal weights ell.

@@ -4,6 +4,7 @@ import scipy.sparse.linalg as spla
 
 from otsource.assembly import (
     BoundaryData,
+    SparseSystem,
     _edge_correction,
     _model_inverse_on_edges,
     assemble_system,
@@ -56,6 +57,14 @@ class TestSystem:
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             assemble_system(SpaceTimeMesh(2, 2), 0.0)
+
+    def test_non_finite_delta_rejected(self):
+        # an infinite delta passes a bare delta > 0 test and fills the
+        # capacitance matrix with NaN
+        for bad in (np.inf, np.nan, -np.inf):
+            for build in (assemble_system, SparseSystem):
+                with pytest.raises(ValueError, match=f"finite and positive, got {bad}"):
+                    build(SpaceTimeMesh(3, 2), bad)
 
 
 class TestRhs:
@@ -227,13 +236,55 @@ def test_edge_nodes_are_the_support_of_the_model_defect(bc):
             assert edges.size == 0
             continue
         assert edges.size == 4 * (nt + 1) + 8 * (nx - 1)
-        block, cols, vals = _edge_correction(mesh, delta, edges)
+        block, cols, vals = _edge_correction(system)
         assert cols.shape == vals.shape == (edges.size, 4)
         table = np.zeros_like(block)
         np.add.at(table, (np.arange(edges.size)[:, None], cols), vals)
         assert np.array_equal(table, block)
         expected = defect[np.ix_(edges, edges)]
         assert np.allclose(block, expected, rtol=0.0, atol=1e-10 * scale)
+
+
+def _tensor_product_edge_weights(system):
+    """P's weight per grid edge, laid out like mesh.edge_weights().
+
+    The 1-D stiffness 1/h along the edge times the 1-D lumped masses
+    across it; no edge leaves the last node of the time axis or of a
+    Neumann side.
+    """
+    mesh = system.mesh
+    mt, ms = system.masses
+    st, ss = np.full(mt.size, 1.0 / mesh.ht), np.full(ms.size, 1.0 / mesh.hx)
+    st[-1] = 0.0
+    if mesh.bc == "neumann":
+        ss[-1] = 0.0
+    along_t = st[:, None, None] * ms[None, :, None] * ms[None, None, :]
+    along_x = mt[:, None, None] * ms[None, :, None] * ss[None, None, :]
+    along_y = mt[:, None, None] * ss[None, :, None] * ms[None, None, :]
+    return np.concatenate([along_t.ravel(), along_x.ravel(), along_y.ravel()])
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+def test_edge_weights_are_the_model_weights_outside_the_edge_nodes(bc):
+    # A and P are weighted graph Laplacians on the grid edges plus a
+    # diagonal mass, and their weights agree on every grid edge without
+    # both ends in edge_nodes (with periodic boundaries, on every edge):
+    # that is why C = (A - P)_EE is the whole correction
+    for nx, nt in ((2, 2), (3, 4), (5, 3), (8, 6)):
+        mesh = SpaceTimeMesh(nx, nt, bc)
+        system = assemble_system(mesh, 1.0)
+        a, p = mesh.edge_weights(), _tensor_product_edge_weights(system)
+        assert a.shape == p.shape == (3 * mesh.n_dofs,)
+        in_e = np.zeros(mesh.n_dofs, dtype=bool)
+        in_e[system.edges] = True
+        start, end = np.arange(3 * mesh.n_dofs) % mesh.n_dofs, mesh.step_edges()[2] % mesh.n_dofs
+        outside = ~(in_e[start] & in_e[end])
+        assert np.abs(a[outside] - p[outside]).max() <= 1e-14 * a.max(), (nx, nt)
+        if bc == "periodic":
+            assert outside.all()
+        else:
+            # the weights do differ on edges inside E
+            assert np.abs(a[~outside] - p[~outside]).max() > 1e-3 * a.max()
 
 
 def test_closed_form_model_inverse_on_edges():

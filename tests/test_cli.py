@@ -91,6 +91,22 @@ def test_inf_delta_exit_1(moving_pair, capsys):
     assert "iter" not in captured.out
 
 
+def test_negative_log_every_exit_1(flat_pair, tmp_path, capsys):
+    # a negative stride would print every iteration (it % -1 == 0)
+    a, b = flat_pair
+    assert run_cli(["--a", a, "--b", b, *BASE, "--log-every", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--log-every: must be a nonnegative integer, got -1" in captured.err
+    assert "residual" not in captured.err and not captured.out  # no run, no progress
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"a={a}\nb={b}\nlog-every=-3\n")
+    assert run_cli(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:3: ") and "got -3" in err
+    assert run_cli(["--a", a, "--b", b, *BASE, "--log-every", "x"]) == 1
+    assert "--log-every: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     a = _csv(tmp_path / "a.csv", np.ones((2, 2)))
     code = run_cli(["--a", a, "--b", str(tmp_path / "nope.csv"), *BASE])

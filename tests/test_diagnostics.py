@@ -237,6 +237,16 @@ def test_source_energy_rejects_nonpositive_delta():
         source_energy(np.zeros(mesh.n_dofs), SourceModel("l2l2"), 0.0, mesh)
 
 
+def test_source_energy_rejects_non_finite_delta():
+    # an infinite delta passes delta > 0 and divides the energy to 0
+    mesh = SpaceTimeMesh(2, 2)
+    z = np.ones(mesh.n_dofs)
+    for kind in ("l2l2", "l1l1", "l2huber", "none"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"finite and positive, got {bad}"):
+                source_energy(z, SourceModel(kind), bad, mesh)
+
+
 def test_huber_slice_cost_matches_manual_sum():
     mesh = SpaceTimeMesh(3, 2)
     rng = np.random.default_rng(3)
